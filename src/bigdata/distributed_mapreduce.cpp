@@ -20,11 +20,76 @@ Bytes result_aad(std::size_t bundle) {
   put_u64(aad, bundle);
   return aad;
 }
+
+/// The coordinator's platform draws kEntropySeedBase, worker w's
+/// kEntropySeedBase + 1 + w: distinct platforms must not share entropy
+/// streams or their attestation keys would collide.
+constexpr std::uint64_t kEntropySeedBase = 0x5EED;
+constexpr std::size_t kFlightCapacity = 128;
+
+DistributedMapReduceConfig with_recovery_knobs(DistributedMapReduceConfig config) {
+  // Silent-death detection depends on the flow liveness machinery.
+  if (config.recovery.enabled) {
+    config.cluster.flow.beacon_death_threshold = config.recovery.beacon_death_threshold;
+  }
+  return config;
+}
 }  // namespace
+
+Result<MapTaskRecord> decode_map_task(ByteView body) {
+  ByteReader r(body);
+  MapTaskRecord out;
+  std::uint32_t count = 0;
+  // Every record is a length-prefixed blob: at least its 4-byte length.
+  if (!r.get_u64(out.epoch) || !r.get_u64(out.task) || !r.get_count(count, 4)) {
+    return Error::protocol("malformed map task");
+  }
+  out.records.resize(count);
+  for (Bytes& record : out.records) {
+    if (!r.get_blob(record)) return Error::protocol("truncated map task");
+  }
+  return out;
+}
+
+Result<AssignRecord> decode_assignment(ByteView body) {
+  ByteReader r(body);
+  AssignRecord out;
+  const auto get_nodes = [&r](std::vector<net::NodeId>& nodes) {
+    std::uint32_t count = 0;
+    if (!r.get_count(count, 8)) return false;
+    nodes.resize(count);
+    for (net::NodeId& node : nodes) {
+      std::uint64_t id = 0;
+      if (!r.get_u64(id)) return false;
+      node = static_cast<net::NodeId>(id);
+    }
+    return true;
+  };
+  if (!r.get_u64(out.epoch) || !get_nodes(out.dead)) {
+    return Error::protocol("malformed assignment record");
+  }
+  if (!get_nodes(out.owners)) return Error::protocol("malformed assignment owner table");
+  std::uint32_t count = 0;
+  if (!r.get_count(count, 16)) return Error::protocol("malformed assignment record");
+  out.reassigns.resize(count);
+  for (auto& [task, node] : out.reassigns) {
+    std::uint64_t id = 0;
+    if (!r.get_u64(task) || !r.get_u64(id)) {
+      return Error::protocol("truncated assignment record");
+    }
+    node = static_cast<net::NodeId>(id);
+  }
+  if (!r.done()) return Error::protocol("trailing assignment bytes");
+  return out;
+}
 
 DistributedMapReduce::DistributedMapReduce(net::Fabric& fabric,
                                            DistributedMapReduceConfig config)
-    : fabric_(fabric), config_(std::move(config)) {}
+    : fabric_(fabric),
+      config_(with_recovery_knobs(std::move(config))),
+      cluster_(fabric, config_.cluster, kFlightCapacity,
+               config_.recovery.enabled ? EnclaveCluster::kSessionRetry
+                                        : EnclaveCluster::RetryConfig{}) {}
 
 DistributedMapReduce::~DistributedMapReduce() = default;
 
@@ -58,12 +123,7 @@ void DistributedMapReduce::set_obs(obs::Registry* registry, obs::Tracer* tracer)
     obs_telemetry_alerts_ =
         &registry->counter("dist_telemetry_alerts_total");
   }
-  for (auto& session : sessions_) session->set_obs(registry);
-  if (coordinator_flow_) coordinator_flow_->set_obs(registry);
-  for (auto& worker : workers_) {
-    if (worker->session) worker->session->set_obs(registry_for(*worker));
-    if (worker->flow) worker->flow->set_obs(registry_for(*worker));
-  }
+  if (ready_ && !cluster_obs_) cluster_.share_registry(registry);
 }
 
 void DistributedMapReduce::enable_cluster_obs() {
@@ -72,11 +132,13 @@ void DistributedMapReduce::enable_cluster_obs() {
 
 void DistributedMapReduce::note_coordinator_flight(const char* category,
                                                    const std::string& message) {
-  if (coordinator_obs_) coordinator_obs_->flight.record(category, message);
+  if (obs::NodeObs* coordinator = coordinator_obs()) {
+    coordinator->flight.record(category, message);
+  }
 }
 
 Result<obs::ClusterSnapshot> DistributedMapReduce::collect_cluster_snapshot() {
-  if (!cluster_obs_ || coordinator_obs_ == nullptr) {
+  if (!cluster_obs_ || coordinator_obs() == nullptr) {
     return Error::protocol("cluster obs mode was not enabled before setup()");
   }
   obs_replies_.clear();
@@ -89,7 +151,7 @@ Result<obs::ClusterSnapshot> DistributedMapReduce::collect_cluster_snapshot() {
   }
   fabric_.run_until_idle();
   std::vector<obs::NodeSnapshot> nodes;
-  nodes.push_back(coordinator_obs_->snapshot());
+  nodes.push_back(coordinator_obs()->snapshot());
   for (auto& snap : obs_replies_) nodes.push_back(std::move(snap));
   obs_replies_.clear();
   return obs::merge_snapshots(std::move(nodes));
@@ -108,9 +170,9 @@ std::string DistributedMapReduce::collect_flight_postmortem() {
   fabric_.run_until_idle();
   std::vector<obs::NodeSnapshot> nodes;
   obs::NodeSnapshot coordinator;
-  coordinator.node = coordinator_obs_->node;
-  coordinator.flight = coordinator_obs_->flight.events();
-  coordinator.flight_total = coordinator_obs_->flight.total_recorded();
+  coordinator.node = coordinator_obs()->node;
+  coordinator.flight = coordinator_obs()->flight.events();
+  coordinator.flight_total = coordinator_obs()->flight.total_recorded();
   nodes.push_back(std::move(coordinator));
   for (auto& snap : obs_replies_) nodes.push_back(std::move(snap));
   obs_replies_.clear();
@@ -122,15 +184,16 @@ void DistributedMapReduce::worker_on_obs_message(Worker& worker,
   if (!worker.alive) return;
   ByteReader r(message.payload);
   std::uint8_t type = 0;
-  if (!r.get_u8(type) || !r.done() || worker.onode == nullptr) return;
+  obs::NodeObs* onode = worker_obs(worker.index);
+  if (!r.get_u8(type) || !r.done() || onode == nullptr) return;
   obs::NodeSnapshot snap;
   std::uint8_t reply_type = kObsReply;
   if (type == kObsSnapshotReq) {
-    snap = worker.onode->snapshot();
+    snap = onode->snapshot();
   } else if (type == kObsFlightReq || type == kObsAlertPullReq) {
-    snap.node = worker.onode->node;
-    snap.flight = worker.onode->flight.events();
-    snap.flight_total = worker.onode->flight.total_recorded();
+    snap.node = onode->node;
+    snap.flight = onode->flight.events();
+    snap.flight_total = onode->flight.total_recorded();
     if (type == kObsAlertPullReq) reply_type = kObsAlertReply;
   } else {
     return;
@@ -167,7 +230,8 @@ void DistributedMapReduce::coordinator_telemetry_tick() {
 
 void DistributedMapReduce::worker_telemetry_tick(Worker& worker) {
   if (!telemetry_active()) return;
-  if (!worker.alive || worker.sampler == nullptr || worker.flow == nullptr) return;
+  FlowNode* flow = worker_flow(worker);
+  if (!worker.alive || worker.sampler == nullptr || flow == nullptr) return;
   if (worker.telemetry_frames >= config_.telemetry.max_frames_per_run) return;
   ++worker.telemetry_frames;
   const obs::TelemetryFrame frame =
@@ -175,7 +239,7 @@ void DistributedMapReduce::worker_telemetry_tick(Worker& worker) {
   Bytes wire;
   put_u8(wire, kTelemetry);
   put_blob(wire, obs::serialize_telemetry_frame(frame));
-  (void)worker.flow->send(worker.coordinator_node, wire);
+  (void)flow->send(worker.coordinator_node, wire);
   Worker* worker_ptr = &worker;
   fabric_.schedule(config_.telemetry.interval_ns,
                    [this, worker_ptr] { worker_telemetry_tick(*worker_ptr); });
@@ -190,7 +254,8 @@ void DistributedMapReduce::on_telemetry_alert(const obs::Alert& alert) {
   // node, over the raw obs channel (it works even when the data plane
   // is the thing that degraded).
   for (auto& worker : workers_) {
-    if (worker->onode == nullptr || worker->onode->node != alert.node) continue;
+    const obs::NodeObs* onode = worker_obs(worker->index);
+    if (onode == nullptr || onode->node != alert.node) continue;
     if (!worker->alive) return;
     Bytes req;
     put_u8(req, kObsAlertPullReq);
@@ -199,11 +264,12 @@ void DistributedMapReduce::on_telemetry_alert(const obs::Alert& alert) {
     return;
   }
   // Alert on the coordinator itself: store its ring directly.
-  if (coordinator_obs_ && coordinator_obs_->node == alert.node) {
+  if (const obs::NodeObs* coordinator = coordinator_obs();
+      coordinator != nullptr && coordinator->node == alert.node) {
     obs::NodeSnapshot snap;
-    snap.node = coordinator_obs_->node;
-    snap.flight = coordinator_obs_->flight.events();
-    snap.flight_total = coordinator_obs_->flight.total_recorded();
+    snap.node = coordinator->node;
+    snap.flight = coordinator->flight.events();
+    snap.flight_total = coordinator->flight.total_recorded();
     alert_postmortems_[snap.node] = std::move(snap);
   }
 }
@@ -213,47 +279,32 @@ Status DistributedMapReduce::setup(sgx::AttestationService& service) {
   if (config_.num_workers == 0 || config_.num_reducers == 0) {
     return Error::invalid_argument("need at least one worker and one reducer");
   }
-  if (config_.recovery.enabled) {
-    // Silent-death detection depends on the flow liveness machinery.
-    config_.flow.beacon_death_threshold = config_.recovery.beacon_death_threshold;
-  }
-  const net::AttestedSession::Config::RetryConfig session_retry{
-      .retransmit_timeout_ns =
-          config_.recovery.enabled ? config_.recovery.session_retransmit_timeout_ns
-                                   : 0,
-      .max_retries = config_.recovery.session_max_retries,
-  };
 
   // --- topology: coordinator + workers, full mesh ------------------------
-  coordinator_node_ = fabric_.add_node("coordinator");
+  cluster_.add_node("coordinator", "platform-coordinator", kEntropySeedBase);
+  coordinator_node_ = cluster_.node_id(kCoordinator);
   for (std::size_t w = 0; w < config_.num_workers; ++w) {
     auto worker = std::make_unique<Worker>();
     worker->index = w;
-    worker->node = fabric_.add_node("worker-" + std::to_string(w));
+    const std::size_t node = cluster_.add_node("worker-" + std::to_string(w),
+                                               "platform-worker-" + std::to_string(w),
+                                               kEntropySeedBase + 1 + w);
+    worker->node = cluster_.node_id(node);
     workers_.push_back(std::move(worker));
   }
   worker_alive_.assign(config_.num_workers, true);
   for (std::size_t w = 0; w < config_.num_workers; ++w) {
-    SC_RETURN_IF_ERROR(
-        fabric_.connect(coordinator_node_, workers_[w]->node, config_.link));
+    SC_RETURN_IF_ERROR(cluster_.connect(kCoordinator, w + 1));
     for (std::size_t v = w + 1; v < config_.num_workers; ++v) {
-      SC_RETURN_IF_ERROR(
-          fabric_.connect(workers_[w]->node, workers_[v]->node, config_.link));
+      SC_RETURN_IF_ERROR(cluster_.connect(w + 1, v + 1));
     }
   }
+  if (!cluster_obs_) cluster_.share_registry(registry_);
+  SC_RETURN_IF_ERROR(cluster_.boot(service));
 
-  // --- per-node observability (cluster-obs mode) --------------------------
   if (cluster_obs_) {
-    coordinator_obs_ = std::make_unique<obs::NodeObs>(
-        "coordinator", fabric_.clock(),
-        static_cast<std::uint32_t>(coordinator_node_), config_.flight_capacity);
-    for (auto& worker : workers_) {
-      worker->onode = std::make_unique<obs::NodeObs>(
-          "worker-" + std::to_string(worker->index), fabric_.clock(),
-          static_cast<std::uint32_t>(worker->node), config_.flight_capacity);
-    }
     // Driver counters and the job span live on the coordinator node.
-    set_obs(&coordinator_obs_->registry, &coordinator_obs_->tracer);
+    set_obs(cluster_.registry(kCoordinator), cluster_.tracer(kCoordinator));
     // Obs collection plane: a raw fabric channel, deliberately independent
     // of sessions and flows so postmortems work after the data plane died.
     SC_RETURN_IF_ERROR(fabric_.set_handler(
@@ -306,185 +357,72 @@ Status DistributedMapReduce::setup(sgx::AttestationService& service) {
       }
       monitor_->set_on_alert(
           [this](const obs::Alert& alert) { on_telemetry_alert(alert); });
-      coordinator_sampler_ =
-          std::make_unique<obs::TelemetrySampler>(coordinator_obs_.get());
+      coordinator_sampler_ = std::make_unique<obs::TelemetrySampler>(coordinator_obs());
       for (auto& worker : workers_) {
-        worker->sampler =
-            std::make_unique<obs::TelemetrySampler>(worker->onode.get());
+        worker->sampler = std::make_unique<obs::TelemetrySampler>(worker_obs(worker->index));
         // Intern the progress counter now so every worker's first frame
         // carries it at zero: the straggler detector compares it across
         // nodes, and a node that never shipped the metric would be
         // invisible — exactly the node most worth watching.
-        (void)worker->onode->registry.counter("dist_worker_tasks_done_total");
+        (void)worker_obs(worker->index)->registry.counter("dist_worker_tasks_done_total");
       }
     }
   }
 
-  // --- platforms and enclaves --------------------------------------------
-  const sgx::EnclaveImage image = mapreduce_worker_image();
-  sgx::PlatformConfig coordinator_cfg;
-  coordinator_cfg.platform_id = "platform-coordinator";
-  coordinator_cfg.entropy_seed = config_.entropy_seed_base;
-  coordinator_platform_ = std::make_unique<sgx::Platform>(coordinator_cfg);
-  coordinator_platform_->provision(service);
-  if (coordinator_obs_) {
-    coordinator_platform_->memory().epc().set_flight(&coordinator_obs_->flight);
-    // Mirror EPC pressure into the node registry: the telemetry plane's
-    // epc-thrash detector and the sc-top EPC column read these.
-    coordinator_platform_->memory().epc().set_obs(&coordinator_obs_->registry);
-  }
-  auto coordinator_enclave = coordinator_platform_->create_enclave(image);
-  if (!coordinator_enclave.ok()) return coordinator_enclave.error();
-  coordinator_enclave_ = *coordinator_enclave;
-  job_key_ = coordinator_platform_->entropy().bytes(16);
-
-  for (auto& worker : workers_) {
-    sgx::PlatformConfig worker_cfg;
-    worker_cfg.platform_id = "platform-worker-" + std::to_string(worker->index);
-    worker_cfg.entropy_seed = config_.entropy_seed_base + 1 + worker->index;
-    worker->platform = std::make_unique<sgx::Platform>(worker_cfg);
-    worker->platform->provision(service);
-    if (worker->onode) {
-      worker->platform->memory().epc().set_flight(&worker->onode->flight);
-      worker->platform->memory().epc().set_obs(&worker->onode->registry);
-    }
-    auto enclave = worker->platform->create_enclave(image);
-    if (!enclave.ok()) return enclave.error();
-    worker->enclave = *enclave;
-  }
-
-  // --- attested sessions --------------------------------------------------
-  // One session per worker, all multiplexed on the coordinator's session
-  // channel; the dispatcher routes by source node. Each side pins the
-  // other's MRENCLAVE to the canonical worker image.
-  SC_RETURN_IF_ERROR(fabric_.set_handler(
-      coordinator_node_, kSessionChannel,
-      [this](const net::Message& m) { coordinator_dispatch(m); }));
-  const sgx::Measurement policy = coordinator_enclave_->mrenclave();
-
+  // --- attested sessions carrying the job key and layout ------------------
+  // The coordinator mints the job key; each worker's edge releases it,
+  // with the job layout, as the edge's first sealed record. A session that
+  // fails after setup (e.g. a recovery-time rekey that exhausts its
+  // retransmit budget) is a liveness signal for the peer.
+  job_key_ = cluster_.platform(kCoordinator).entropy().bytes(16);
+  std::vector<EnclaveCluster::Edge> edges;
   for (std::size_t w = 0; w < config_.num_workers; ++w) {
-    Worker& worker = *workers_[w];
-    worker.session = std::make_unique<net::AttestedSession>(
-        net::AttestedSession::Role::kResponder,
-        net::AttestedSession::Config{
-            .fabric = &fabric_,
-            .self = worker.node,
-            .peer = coordinator_node_,
-            .channel = kSessionChannel,
-            .enclave = worker.enclave,
-            .platform = worker.platform.get(),
-            .attestation = &service,
-            .expected_peer_mrenclave = policy,
-            .retry = session_retry,
-        });
-    SC_RETURN_IF_ERROR(worker.session->bind());
-    Worker* worker_ptr = &worker;
-    worker.session->set_on_record([this, worker_ptr](Bytes record) {
-      worker_on_record(*worker_ptr, std::move(record));
-    });
-    worker.session->set_obs(registry_for(worker));
-    if (worker.onode) worker.session->set_flight(&worker.onode->flight);
-
-    sessions_.push_back(std::make_unique<net::AttestedSession>(
-        net::AttestedSession::Role::kInitiator,
-        net::AttestedSession::Config{
-            .fabric = &fabric_,
-            .self = coordinator_node_,
-            .peer = worker.node,
-            .channel = kSessionChannel,
-            .enclave = coordinator_enclave_,
-            .platform = coordinator_platform_.get(),
-            .attestation = &service,
-            .expected_peer_mrenclave = policy,
-            .retry = session_retry,
-        }));
-    sessions_.back()->set_obs(registry_);
-    if (coordinator_obs_) sessions_.back()->set_flight(&coordinator_obs_->flight);
-    // A session that fails after setup (e.g. a recovery-time rekey that
-    // exhausts its retransmit budget) is a liveness signal for the peer.
-    sessions_.back()->set_on_failure([this, w](const Status&) {
-      if (ready_ && config_.recovery.enabled) handle_worker_death(w);
-    });
-    SC_RETURN_IF_ERROR(establish_session(w));
+    Bytes record;
+    put_blob(record, job_key_);
+    put_u64(record, w);
+    put_u64(record, config_.num_workers);
+    put_u64(record, config_.num_reducers);
+    put_u8(record, config_.enable_combiner ? 1 : 0);
+    put_u64(record, coordinator_node_);
+    put_u32(record, static_cast<std::uint32_t>(workers_.size()));
+    for (const auto& peer : workers_) put_u64(record, peer->node);
+    edges.push_back({kCoordinator, w + 1, std::move(record)});
   }
+  cluster_.set_on_record([this](std::size_t node, Bytes record) {
+    return worker_on_record(*workers_[node - 1], std::move(record));
+  });
+  cluster_.set_on_session_failure([this](std::size_t node, std::size_t peer) {
+    if (node == kCoordinator && ready_ && config_.recovery.enabled) {
+      handle_worker_death(peer - 1);
+    }
+  });
+  SC_RETURN_IF_ERROR(cluster_.attest(edges));
 
-  coordinator_flow_ =
-      std::make_unique<FlowNode>(fabric_, coordinator_node_, job_key_, config_.flow);
-  coordinator_flow_->set_on_payload([this](net::NodeId from, Bytes payload) {
+  FlowNode& flow = cluster_.attach_flow(kCoordinator, job_key_);
+  flow.set_on_payload([this](net::NodeId from, Bytes payload) {
     coordinator_on_flow_payload(from, std::move(payload));
   });
-  coordinator_flow_->set_obs(registry_);
-  if (coordinator_obs_) coordinator_flow_->set_flight(&coordinator_obs_->flight);
   if (config_.recovery.enabled) {
     // The failure detector: a worker flow that sent kDead (dying host's
     // RST) or went silent past the beacon threshold is pronounced dead.
-    coordinator_flow_->set_on_peer_dead(
-        [this](net::NodeId node) { on_worker_node_dead(node); });
+    flow.set_on_peer_dead([this](net::NodeId node) { on_worker_node_dead(node); });
   }
 
   ready_ = true;
   return {};
 }
 
-Status DistributedMapReduce::establish_session(std::size_t w) {
-  net::AttestedSession& initiator = *sessions_[w];
-  net::AttestedSession& responder = *workers_[w]->session;
-  SC_RETURN_IF_ERROR(initiator.start());
-  fabric_.run_until_idle();
-  if (!initiator.established()) {
-    return initiator.failure().ok()
-               ? Error::unavailable("handshake with worker " + std::to_string(w) +
-                                    " did not complete")
-               : initiator.failure().error();
-  }
-  if (!responder.established()) {
-    return responder.failure().ok()
-               ? Error::unavailable("worker " + std::to_string(w) +
-                                    " did not finish the handshake")
-               : responder.failure().error();
-  }
-
-  // Key + layout release through the established channel. The record is
-  // the only place the job key crosses the (simulated) wire, and it is
-  // sealed by the session's AES-GCM channel.
-  Bytes record;
-  put_blob(record, job_key_);
-  put_u64(record, w);
-  put_u64(record, config_.num_workers);
-  put_u64(record, config_.num_reducers);
-  put_u8(record, config_.enable_combiner ? 1 : 0);
-  put_u64(record, coordinator_node_);
-  put_u32(record, static_cast<std::uint32_t>(workers_.size()));
-  for (const auto& peer : workers_) put_u64(record, peer->node);
-  SC_RETURN_IF_ERROR(initiator.send(record));
-  fabric_.run_until_idle();
-  if (!workers_[w]->configured) {
-    return Error::protocol("worker " + std::to_string(w) +
-                           " did not accept the job configuration");
-  }
-  return {};
-}
-
-void DistributedMapReduce::coordinator_dispatch(const net::Message& message) {
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    if (workers_[w]->node == message.src) {
-      sessions_[w]->on_message(message);
-      return;
-    }
-  }
-}
-
-void DistributedMapReduce::worker_on_record(Worker& worker, Bytes record) {
-  if (!worker.alive) return;
+bool DistributedMapReduce::worker_on_record(Worker& worker, Bytes record) {
+  if (!worker.alive) return false;
   ByteReader r(record);
   std::uint64_t index = 0, num_workers = 0, num_reducers = 0, coordinator = 0;
   std::uint8_t combiner = 0;
   std::uint32_t peers = 0;
   if (!r.get_blob(worker.job_key) || !r.get_u64(index) || !r.get_u64(num_workers) ||
       !r.get_u64(num_reducers) || !r.get_u8(combiner) || !r.get_u64(coordinator) ||
-      !r.get_u32(peers) || index != worker.index) {
+      !r.get_count(peers, 8) || index != worker.index) {
     worker_fail(worker, Error::protocol("malformed job configuration record"));
-    return;
+    return false;
   }
   worker.num_workers = num_workers;
   worker.num_reducers = num_reducers;
@@ -495,20 +433,17 @@ void DistributedMapReduce::worker_on_record(Worker& worker, Bytes record) {
     std::uint64_t node = 0;
     if (!r.get_u64(node)) {
       worker_fail(worker, Error::protocol("truncated worker node list"));
-      return;
+      return false;
     }
     worker.worker_nodes.push_back(static_cast<net::NodeId>(node));
   }
-  worker.flow =
-      std::make_unique<FlowNode>(fabric_, worker.node, worker.job_key, config_.flow);
   Worker* worker_ptr = &worker;
-  worker.flow->set_on_payload_ctx(
-      [this, worker_ptr](net::NodeId from, Bytes payload, obs::TraceContext ctx) {
-        worker_on_flow_payload(*worker_ptr, from, std::move(payload), ctx);
-      });
-  worker.flow->set_obs(registry_for(worker));
-  if (worker.onode) worker.flow->set_flight(&worker.onode->flight);
-  worker.configured = true;
+  cluster_.attach_flow(worker.index + 1, worker.job_key)
+      .set_on_payload_ctx(
+          [this, worker_ptr](net::NodeId from, Bytes payload, obs::TraceContext ctx) {
+            worker_on_flow_payload(*worker_ptr, from, std::move(payload), ctx);
+          });
+  return true;
 }
 
 void DistributedMapReduce::worker_fail(Worker& worker, Error error) {
@@ -523,7 +458,7 @@ void DistributedMapReduce::worker_fail(Worker& worker, Error error) {
                        "worker " + std::to_string(worker.index) + ": " + error.message};
   }
   worker.alive = false;
-  if (worker.flow) worker.flow->quiesce();
+  if (FlowNode* flow = worker_flow(worker)) flow->quiesce();
 }
 
 void DistributedMapReduce::worker_on_flow_payload(Worker& worker, net::NodeId from,
@@ -535,7 +470,7 @@ void DistributedMapReduce::worker_on_flow_payload(Worker& worker, net::NodeId fr
   if (!r.get_u8(type)) return;
   switch (type) {
     case kMapTask: {
-      worker_handle_map_task(worker, r, ctx);
+      worker_handle_map_task(worker, ByteView(payload).subspan(1), ctx);
       return;
     }
     case kShuffle: {
@@ -564,7 +499,7 @@ void DistributedMapReduce::worker_on_flow_payload(Worker& worker, net::NodeId fr
       return;
     }
     case kAssign: {
-      worker_apply_assignment(worker, r);
+      worker_apply_assignment(worker, ByteView(payload).subspan(1));
       return;
     }
     default:
@@ -593,23 +528,20 @@ void DistributedMapReduce::worker_begin_epoch(Worker& worker, std::uint64_t epoc
   worker.bundle_execs[worker.index];
 }
 
-void DistributedMapReduce::worker_handle_map_task(Worker& worker,
-                                                  ByteReader& reader,
+void DistributedMapReduce::worker_handle_map_task(Worker& worker, ByteView body,
                                                   obs::TraceContext ctx) {
-  std::uint64_t epoch = 0, task = 0;
-  std::uint32_t count = 0;
-  if (!reader.get_u64(epoch) || !reader.get_u64(task) || !reader.get_u32(count) ||
-      task >= worker.num_workers) {
+  auto decoded = decode_map_task(body);
+  if (!decoded.ok()) {
+    worker_fail(worker, decoded.error());
+    return;
+  }
+  const std::uint64_t epoch = decoded->epoch;
+  const std::uint64_t task = decoded->task;
+  if (task >= worker.num_workers) {
     worker_fail(worker, Error::protocol("malformed map task"));
     return;
   }
-  std::vector<Bytes> records(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (!reader.get_blob(records[i])) {
-      worker_fail(worker, Error::protocol("truncated map task"));
-      return;
-    }
-  }
+  const std::vector<Bytes>& records = decoded->records;
 
   const std::size_t R = worker.num_reducers;
   worker_begin_epoch(worker, epoch);
@@ -618,17 +550,19 @@ void DistributedMapReduce::worker_handle_map_task(Worker& worker,
   worker.job_ctx = ctx;
   if (worker.map_execs.count(task) != 0) return;  // duplicate delivery
   MapExec& exec = worker.map_execs[task];
+  obs::NodeObs* onode = worker_obs(worker.index);
   // Task timeline in the node's flight ring — what an alert-triggered
   // postmortem pull shows: which tasks this node accepted and when.
-  if (worker.onode) {
-    worker.onode->flight.record(
+  if (onode) {
+    onode->flight.record(
         "map_task_start", "epoch=" + std::to_string(epoch) +
                               " task=" + std::to_string(task) +
                               " records=" + std::to_string(records.size()));
   }
 
   // Entering the mapper enclave on this worker's platform.
-  worker.platform->clock().advance_cycles(worker.platform->cost().ecall_cycles);
+  sgx::Platform& platform = cluster_.platform(worker.index + 1);
+  platform.clock().advance_cycles(platform.cost().ecall_cycles);
 
   // Per-record decrypt + map with pre-assigned output slots; bucketing
   // runs serially afterwards, so thread count cannot perturb pair order.
@@ -680,15 +614,14 @@ void DistributedMapReduce::worker_handle_map_task(Worker& worker,
   // coordinator's job span via the adopted chunk-header context; the
   // deferred finish event closes it after the modeled compute delay (or
   // at cancellation, if a speculative copy superseded this execution).
-  if (worker.onode) {
-    exec.span = std::make_unique<obs::Span>(
-        &worker.onode->tracer, "dist_mapreduce.map_task", worker.job_ctx);
+  if (onode) {
+    exec.span = std::make_unique<obs::Span>(&onode->tracer, "dist_mapreduce.map_task",
+                                            worker.job_ctx);
     exec.span->set_attribute("worker", std::to_string(worker.index));
     exec.span->set_attribute("task", std::to_string(task));
     exec.span->set_attribute("records", std::to_string(records.size()));
-    worker.onode->registry.counter("dist_worker_map_records_total")
-        .inc(records.size());
-    worker.onode->registry.counter("dist_worker_map_pairs_total").inc(pair_count);
+    onode->registry.counter("dist_worker_map_records_total").inc(records.size());
+    onode->registry.counter("dist_worker_map_pairs_total").inc(pair_count);
   }
 
   exec.pending_output = std::move(per_reducer);
@@ -721,9 +654,9 @@ void DistributedMapReduce::worker_finish_map_task(Worker& worker,
   // Progress signal for the straggler-drift detector: bumps at map
   // *finish* (after the skew-scaled compute delay), so a slowed node's
   // counter visibly lags the cluster while the job is in flight.
-  if (worker.onode) {
-    worker.onode->registry.counter("dist_worker_tasks_done_total").inc();
-    worker.onode->flight.record("map_task_done",
+  if (obs::NodeObs* onode = worker_obs(worker.index)) {
+    onode->registry.counter("dist_worker_tasks_done_total").inc();
+    onode->flight.record("map_task_done",
                                 "epoch=" + std::to_string(epoch) +
                                     " task=" + std::to_string(task));
   }
@@ -766,7 +699,7 @@ void DistributedMapReduce::worker_finish_map_task(Worker& worker,
   put_u64(done, exec.pairs);
   put_u64(done, shuffle_bytes);
   put_u64(done, 1);  // enclave transitions for the map task
-  (void)worker.flow->send(worker.coordinator_node, done, ctx);
+  (void)worker_flow(worker)->send(worker.coordinator_node, done, ctx);
 
   if (exec.span) {
     exec.span->set_attribute("shuffle_bytes", std::to_string(shuffle_bytes));
@@ -801,7 +734,7 @@ void DistributedMapReduce::worker_send_block(Worker& worker, std::uint64_t epoch
   put_u64(wire, task);
   put_u64(wire, reducer);
   put_blob(wire, p.block);
-  (void)worker.flow->send(dest, wire, ctx);
+  (void)worker_flow(worker)->send(dest, wire, ctx);
 }
 
 void DistributedMapReduce::worker_maybe_reduce(Worker& worker,
@@ -824,7 +757,8 @@ void DistributedMapReduce::worker_maybe_reduce(Worker& worker,
   exec.reduced = true;
 
   // Entering the reducer enclave.
-  worker.platform->clock().advance_cycles(worker.platform->cost().ecall_cycles);
+  sgx::Platform& platform = cluster_.platform(worker.index + 1);
+  platform.clock().advance_cycles(platform.cost().ecall_cycles);
 
   const ReduceFn& reduce_fn = *current_reduce_fn_;
   crypto::AesGcm gcm(worker.job_key);
@@ -865,14 +799,13 @@ void DistributedMapReduce::worker_maybe_reduce(Worker& worker,
   // Reduce span: opens when the last shuffle block arrived (now, in
   // fabric time), parented to the job span; the deferred finish closes
   // it after the modeled reduce compute and ships the sealed result.
-  if (worker.onode) {
-    exec.span = std::make_unique<obs::Span>(
-        &worker.onode->tracer, "dist_mapreduce.reduce_task", worker.job_ctx);
+  if (obs::NodeObs* onode = worker_obs(worker.index)) {
+    exec.span = std::make_unique<obs::Span>(&onode->tracer, "dist_mapreduce.reduce_task",
+                                            worker.job_ctx);
     exec.span->set_attribute("worker", std::to_string(worker.index));
     exec.span->set_attribute("bundle", std::to_string(bundle));
     exec.span->set_attribute("pairs", std::to_string(pairs_consumed));
-    worker.onode->registry.counter("dist_worker_reduce_pairs_total")
-        .inc(pairs_consumed);
+    onode->registry.counter("dist_worker_reduce_pairs_total").inc(pairs_consumed);
   }
 
   // Result nonce/AAD keyed by the bundle, not this worker: re-executed
@@ -907,68 +840,31 @@ void DistributedMapReduce::worker_finish_reduce(Worker& worker,
   }
   obs::TraceContext ctx;
   if (it->second.span) ctx = it->second.span->context();
-  (void)worker.flow->send(worker.coordinator_node, it->second.pending_result_wire,
-                          ctx);
+  (void)worker_flow(worker)->send(worker.coordinator_node,
+                                 it->second.pending_result_wire, ctx);
   it->second.pending_result_wire.clear();
   it->second.span.reset();  // close at the post-compute fabric timestamp
 }
 
-void DistributedMapReduce::worker_apply_assignment(Worker& worker,
-                                                   ByteReader& reader) {
-  std::uint64_t epoch = 0;
-  std::uint32_t dead_count = 0;
-  if (!reader.get_u64(epoch) || !reader.get_u32(dead_count)) {
-    worker_fail(worker, Error::protocol("malformed assignment record"));
+void DistributedMapReduce::worker_apply_assignment(Worker& worker, ByteView body) {
+  auto decoded = decode_assignment(body);
+  if (!decoded.ok()) {
+    worker_fail(worker, decoded.error());
     return;
   }
-  std::vector<net::NodeId> dead(dead_count);
-  for (auto& d : dead) {
-    std::uint64_t node = 0;
-    if (!reader.get_u64(node)) {
-      worker_fail(worker, Error::protocol("truncated assignment record"));
-      return;
-    }
-    d = static_cast<net::NodeId>(node);
-  }
-  std::uint32_t owner_count = 0;
-  if (!reader.get_u32(owner_count) || owner_count != worker.num_workers) {
+  if (decoded->owners.size() != worker.num_workers) {
     worker_fail(worker, Error::protocol("malformed assignment owner table"));
     return;
   }
-  std::vector<net::NodeId> owners(owner_count);
-  for (auto& o : owners) {
-    std::uint64_t node = 0;
-    if (!reader.get_u64(node)) {
-      worker_fail(worker, Error::protocol("truncated assignment owner table"));
-      return;
-    }
-    o = static_cast<net::NodeId>(node);
-  }
-  std::uint32_t reassign_count = 0;
-  if (!reader.get_u32(reassign_count)) {
-    worker_fail(worker, Error::protocol("malformed assignment record"));
-    return;
-  }
-  std::vector<std::pair<std::uint64_t, net::NodeId>> reassigns(reassign_count);
-  for (auto& [task, node] : reassigns) {
-    std::uint64_t n = 0;
-    if (!reader.get_u64(task) || !reader.get_u64(n)) {
-      worker_fail(worker, Error::protocol("truncated assignment record"));
-      return;
-    }
-    node = static_cast<net::NodeId>(n);
-  }
-  if (!reader.done()) {
-    worker_fail(worker, Error::protocol("trailing assignment bytes"));
-    return;
-  }
+  const std::uint64_t epoch = decoded->epoch;
+  const std::vector<net::NodeId>& owners = decoded->owners;
 
   if (epoch < worker.epoch) return;  // stale
   worker_begin_epoch(worker, epoch);
 
   // Stop all recovery traffic toward the dead nodes.
-  for (net::NodeId d : dead) {
-    if (worker.flow) worker.flow->abandon_peer(d);
+  for (net::NodeId d : decoded->dead) {
+    if (FlowNode* flow = worker_flow(worker)) flow->abandon_peer(d);
   }
 
   worker.bundle_owner_node = owners;
@@ -980,7 +876,7 @@ void DistributedMapReduce::worker_apply_assignment(Worker& worker,
   // execution: the deferred finish becomes a no-op, no shuffle leaves
   // this node for it, and the map span closes *now* — so a straggler's
   // superseded attempt stops dominating the critical path.
-  for (const auto& [task, node] : reassigns) {
+  for (const auto& [task, node] : decoded->reassigns) {
     if (node == worker.node) continue;
     auto it = worker.map_execs.find(task);
     if (it == worker.map_execs.end()) continue;
@@ -1182,7 +1078,7 @@ void DistributedMapReduce::send_map_task(std::size_t executor,
   put_u32(wire, static_cast<std::uint32_t>(task_records_[task].size()));
   for (const Bytes& record : task_records_[task]) put_blob(wire, record);
   bump(obs_map_tasks_);
-  (void)coordinator_flow_->send(workers_[executor]->node, wire, run_ctx_);
+  (void)coordinator_flow().send(workers_[executor]->node, wire, run_ctx_);
 }
 
 void DistributedMapReduce::broadcast_assignment(
@@ -1207,17 +1103,13 @@ void DistributedMapReduce::broadcast_assignment(
   }
   for (std::size_t w = 0; w < config_.num_workers; ++w) {
     if (!worker_alive_[w]) continue;
-    (void)coordinator_flow_->send(workers_[w]->node, wire, run_ctx_);
+    (void)coordinator_flow().send(workers_[w]->node, wire, run_ctx_);
   }
 }
 
 void DistributedMapReduce::on_worker_node_dead(net::NodeId node) {
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    if (workers_[w]->node == node) {
-      handle_worker_death(w);
-      return;
-    }
-  }
+  const std::optional<std::size_t> index = cluster_.index_of(node);
+  if (index && *index != kCoordinator) handle_worker_death(*index - 1);
 }
 
 void DistributedMapReduce::handle_worker_death(std::size_t w) {
@@ -1227,7 +1119,7 @@ void DistributedMapReduce::handle_worker_death(std::size_t w) {
   worker_alive_[w] = false;
   bump(obs_worker_deaths_);
   note_coordinator_flight("worker_dead", "worker=" + std::to_string(w));
-  coordinator_flow_->abandon_peer(workers_[w]->node);
+  coordinator_flow().abandon_peer(workers_[w]->node);
   if (alive_count() == 0) {
     if (!job_error_) {
       job_error_ = Error::unavailable("all workers dead; job cannot complete");
@@ -1287,7 +1179,7 @@ void DistributedMapReduce::handle_worker_death(std::size_t w) {
   // for that peer via on_failure.
   if (config_.recovery.rekey_on_recovery) {
     for (std::size_t v = 0; v < config_.num_workers; ++v) {
-      if (worker_alive_[v]) (void)sessions_[v]->rehandshake();
+      if (worker_alive_[v]) (void)cluster_.session(kCoordinator, v + 1)->rehandshake();
     }
   }
 }
@@ -1352,7 +1244,7 @@ Status DistributedMapReduce::kill_worker(std::size_t w) {
   Worker& worker = *workers_[w];
   if (!worker.alive) return {};
   worker.alive = false;
-  if (worker.flow) worker.flow->quiesce();
+  if (FlowNode* flow = worker_flow(worker)) flow->quiesce();
   return {};
 }
 
@@ -1387,7 +1279,7 @@ Result<JobResult> DistributedMapReduce::run(
     bump(obs_job_failures_);
     // Typed failure: capture every reachable node's flight-recorder ring
     // alongside the error (the deterministic postmortem).
-    if (cluster_obs_ && coordinator_obs_) postmortem_ = collect_flight_postmortem();
+    if (cluster_obs_ && coordinator_obs()) postmortem_ = collect_flight_postmortem();
     return error;
   };
 
@@ -1517,7 +1409,7 @@ Result<JobResult> DistributedMapReduce::run(
         Bytes ping;
         put_u8(ping, kPing);
         put_u64(ping, epoch_);
-        if (coordinator_flow_->send(workers_[w]->node, ping, run_ctx_).ok()) {
+        if (coordinator_flow().send(workers_[w]->node, ping, run_ctx_).ok()) {
           probed = true;
         }
       }
@@ -1537,10 +1429,10 @@ Result<JobResult> DistributedMapReduce::run(
   if (results_seen_.size() < W) {
     // Surface the typed transport failure when one exists (abandoned
     // gap -> kUnavailable), else a generic incompleteness error.
-    if (Status h = coordinator_flow_->health(); !h.ok()) return fail(h.error());
+    if (Status h = coordinator_flow().health(); !h.ok()) return fail(h.error());
     for (const auto& worker : workers_) {
-      if (worker->alive && worker->flow) {
-        if (Status h = worker->flow->health(); !h.ok()) return fail(h.error());
+      if (worker->alive && worker_flow(*worker)) {
+        if (Status h = worker_flow(*worker)->health(); !h.ok()) return fail(h.error());
       }
     }
     return fail(Error::unavailable(

@@ -8,14 +8,13 @@
 // time.
 //
 // Lifecycle:
-//   setup(service)  — builds the topology (full mesh), provisions every
-//                     platform with the attestation service, runs an
-//                     AttestedSession handshake coordinator->worker
-//                     (mutual quotes bound to the channel transcript,
-//                     MRENCLAVE pinned to the canonical worker image),
-//                     then releases the job key and the job layout
-//                     through each established session. Untrusted wire
-//                     never sees the key.
+//   setup(service)  — builds the cluster as a bigdata::EnclaveCluster
+//                     (full mesh), attests every coordinator->worker
+//                     edge (mutual quotes bound to the channel
+//                     transcript, MRENCLAVE pinned to the canonical
+//                     worker image), and releases the job key and the
+//                     job layout as each edge's first sealed record.
+//                     Untrusted wire never sees the key.
 //   run(...)        — ships map tasks over reliable encrypted flows
 //                     (FlowNode: chunking + NACK recovery, so armed
 //                     loss/reorder/partition faults are survivable),
@@ -56,11 +55,9 @@
 #include <memory>
 #include <set>
 
-#include "bigdata/flow.hpp"
+#include "bigdata/enclave_cluster.hpp"
 #include "bigdata/mapreduce.hpp"
 #include "genpack/scheduler.hpp"
-#include "net/session.hpp"
-#include "obs/cluster.hpp"
 #include "obs/telemetry.hpp"
 
 namespace securecloud::bigdata {
@@ -69,13 +66,8 @@ struct DistributedMapReduceConfig {
   std::size_t num_workers = 4;
   std::size_t num_reducers = 4;
   bool enable_combiner = false;
-  /// Applied to every link in the mesh.
-  net::LinkConfig link;
-  FlowConfig flow;
-  /// Base for per-platform entropy seeds (coordinator gets the base,
-  /// worker w gets base + 1 + w): distinct platforms must not share
-  /// entropy streams or their attestation keys would collide.
-  std::uint64_t entropy_seed_base = 0x5EED;
+  /// Mesh links and flows.
+  ClusterConfig cluster;
   /// Simulated worker compute charged into *fabric* time before a
   /// worker's shuffle (map) or result (reduce) leaves its node, scaled
   /// by the node's Fabric compute skew — the straggler model: a 4x-skew
@@ -83,20 +75,16 @@ struct DistributedMapReduceConfig {
   /// critical-path analyzer then attributes to that node.
   std::uint64_t map_compute_ns_per_record = 20'000;
   std::uint64_t reduce_compute_ns_per_pair = 2'000;
-  /// Per-node flight-recorder ring capacity (cluster-obs mode).
-  std::size_t flight_capacity = 128;
 
-  /// Worker-death recovery. When enabled, setup() arms the flow beacon
-  /// death threshold and session handshake retransmits below.
+  /// Worker-death recovery. When enabled, the driver arms the flow beacon
+  /// death threshold below and handshake retransmits on every session
+  /// (EnclaveCluster::kSessionRetry), so setup and recovery-time rekeys
+  /// survive armed kNetLoss.
   struct RecoveryConfig {
     bool enabled = true;
     /// Consecutive unanswered beacons before a peer counts as dead
     /// (FlowConfig::beacon_death_threshold while recovery is on).
     std::size_t beacon_death_threshold = 8;
-    /// Handshake retransmit knobs applied to every session, so setup
-    /// (and recovery-time rekeys) survive armed kNetLoss.
-    std::uint64_t session_retransmit_timeout_ns = 3'000'000;
-    std::size_t session_max_retries = 12;
     /// Rotate every surviving session's keys when a worker dies (the
     /// dead node's platform is presumed compromised).
     bool rekey_on_recovery = true;
@@ -152,6 +140,29 @@ struct DistributedMapReduceConfig {
   };
   TelemetryConfig telemetry;
 };
+
+/// The body of a coordinator kMapTask payload (after the type byte).
+struct MapTaskRecord {
+  std::uint64_t epoch = 0;
+  std::uint64_t task = 0;
+  std::vector<Bytes> records;
+};
+
+/// The body of a coordinator kAssign payload: dead-node list, bundle
+/// owner table, and task reassignments.
+struct AssignRecord {
+  std::uint64_t epoch = 0;
+  std::vector<net::NodeId> dead;
+  std::vector<net::NodeId> owners;
+  std::vector<std::pair<std::uint64_t, net::NodeId>> reassigns;
+};
+
+/// Worker-side decoders for the two variable-length control records.
+/// Total: truncated, trailing or oversized input is a typed kProtocol
+/// error, and every wire count is bounded by the bytes left before it
+/// sizes an allocation.
+Result<MapTaskRecord> decode_map_task(ByteView body);
+Result<AssignRecord> decode_assignment(ByteView body);
 
 class DistributedMapReduce {
  public:
@@ -209,8 +220,8 @@ class DistributedMapReduce {
   /// carried in flow chunk headers.
   void enable_cluster_obs();
   bool cluster_obs_enabled() const { return cluster_obs_; }
-  obs::NodeObs* coordinator_obs() { return coordinator_obs_.get(); }
-  obs::NodeObs* worker_obs(std::size_t w) { return workers_[w]->onode.get(); }
+  obs::NodeObs* coordinator_obs() { return node_obs(kCoordinator); }
+  obs::NodeObs* worker_obs(std::size_t w) { return node_obs(w + 1); }
 
   /// Collects every worker's NodeSnapshot over the fabric (obs channel
   /// request/reply), adds the coordinator's local snapshot, and merges
@@ -245,7 +256,8 @@ class DistributedMapReduce {
   std::size_t num_workers() const { return config_.num_workers; }
 
  private:
-  static constexpr std::uint32_t kSessionChannel = 1;
+  /// Cluster node index of the coordinator; worker w is node w + 1.
+  static constexpr std::size_t kCoordinator = 0;
   // Flow payload types (first byte of every flow payload).
   static constexpr std::uint8_t kMapTask = 1;
   static constexpr std::uint8_t kShuffle = 2;
@@ -300,14 +312,12 @@ class DistributedMapReduce {
     std::set<net::NodeId> sent_to;
   };
 
+  /// A worker's job state; its enclave, session and flow live in the
+  /// cluster as node index + 1.
   struct Worker {
     std::size_t index = 0;
     net::NodeId node = 0;
     bool alive = true;
-    std::unique_ptr<sgx::Platform> platform;
-    sgx::Enclave* enclave = nullptr;
-    std::unique_ptr<net::AttestedSession> session;  // responder end
-    std::unique_ptr<FlowNode> flow;
 
     // Job layout, released through the attested session.
     Bytes job_key;
@@ -316,7 +326,6 @@ class DistributedMapReduce {
     bool combiner = false;
     net::NodeId coordinator_node = 0;
     std::vector<net::NodeId> worker_nodes;
-    bool configured = false;
 
     // Per-job (epoch) state, keyed by logical task / bundle ids.
     std::uint64_t epoch = 0;
@@ -331,8 +340,6 @@ class DistributedMapReduce {
     /// identity assignment bundle b -> worker_nodes[b]).
     std::vector<net::NodeId> bundle_owner_node;
 
-    /// Cluster-obs mode: this node's registry/tracer/flight bundle.
-    std::unique_ptr<obs::NodeObs> onode;
     /// Trace context of the coordinator's job span, adopted from the
     /// kMapTask chunk header; parents this worker's spans.
     obs::TraceContext job_ctx;
@@ -341,15 +348,17 @@ class DistributedMapReduce {
     std::size_t telemetry_frames = 0;
   };
 
-  DistributedMapReduce* self() { return this; }
-  Status establish_session(std::size_t w);
-  void coordinator_dispatch(const net::Message& message);
-  void worker_on_record(Worker& worker, Bytes record);
+  /// This node's obs bundle (null until setup and in shared mode).
+  obs::NodeObs* node_obs(std::size_t node) {
+    return node < cluster_.size() ? cluster_.node_obs(node) : nullptr;
+  }
+  FlowNode& coordinator_flow() { return *cluster_.flow(kCoordinator); }
+  FlowNode* worker_flow(const Worker& worker) { return cluster_.flow(worker.index + 1); }
+  bool worker_on_record(Worker& worker, Bytes record);
   void worker_begin_epoch(Worker& worker, std::uint64_t epoch);
   void worker_on_flow_payload(Worker& worker, net::NodeId from, Bytes payload,
                               obs::TraceContext ctx);
-  void worker_handle_map_task(Worker& worker, ByteReader& reader,
-                              obs::TraceContext ctx);
+  void worker_handle_map_task(Worker& worker, ByteView body, obs::TraceContext ctx);
   void worker_finish_map_task(Worker& worker, std::uint64_t epoch,
                               std::uint64_t task);
   /// Routes produced block (task, r) to the current owner of bundle
@@ -360,7 +369,7 @@ class DistributedMapReduce {
   void worker_maybe_reduce(Worker& worker, std::uint64_t bundle);
   void worker_finish_reduce(Worker& worker, std::uint64_t epoch,
                             std::uint64_t bundle);
-  void worker_apply_assignment(Worker& worker, ByteReader& reader);
+  void worker_apply_assignment(Worker& worker, ByteView body);
   void worker_fail(Worker& worker, Error error);
   void coordinator_on_flow_payload(net::NodeId from, Bytes payload);
   void worker_on_obs_message(Worker& worker, const net::Message& message);
@@ -392,9 +401,6 @@ class DistributedMapReduce {
   genpack::ContainerSpec bundle_spec(std::uint64_t bundle) const;
   void note_coordinator_flight(const char* category, const std::string& message);
 
-  obs::Registry* registry_for(const Worker& worker) {
-    return worker.onode ? &worker.onode->registry : registry_;
-  }
   void bump(obs::Counter* counter, std::uint64_t delta = 1) {
     if (counter != nullptr) counter->inc(delta);
   }
@@ -404,11 +410,10 @@ class DistributedMapReduce {
   common::ThreadPool* pool_ = nullptr;
 
   bool ready_ = false;
+  /// Declared before everything holding spans or samplers on its obs
+  /// bundles, so it outlives them.
+  EnclaveCluster cluster_;
   net::NodeId coordinator_node_ = 0;
-  std::unique_ptr<sgx::Platform> coordinator_platform_;
-  sgx::Enclave* coordinator_enclave_ = nullptr;
-  std::vector<std::unique_ptr<net::AttestedSession>> sessions_;  // initiator ends
-  std::unique_ptr<FlowNode> coordinator_flow_;
   std::vector<std::unique_ptr<Worker>> workers_;
   Bytes job_key_;
   std::uint64_t record_counter_ = 0;
@@ -450,7 +455,6 @@ class DistributedMapReduce {
   std::vector<PendingKill> pending_kills_;
 
   bool cluster_obs_ = false;
-  std::unique_ptr<obs::NodeObs> coordinator_obs_;
   /// Snapshot replies collected during collect_cluster_snapshot() /
   /// postmortem collection (delivery order; merge re-sorts by name).
   std::vector<obs::NodeSnapshot> obs_replies_;

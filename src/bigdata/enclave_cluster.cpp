@@ -1,0 +1,193 @@
+#include "bigdata/enclave_cluster.hpp"
+
+#include "bigdata/mapreduce.hpp"
+
+namespace securecloud::bigdata {
+
+EnclaveCluster::EnclaveCluster(net::Fabric& fabric, ClusterConfig config,
+                               std::size_t flight_capacity, RetryConfig session_retry)
+    : fabric_(fabric),
+      config_(std::move(config)),
+      flight_capacity_(flight_capacity),
+      session_retry_(session_retry) {}
+
+EnclaveCluster::~EnclaveCluster() = default;
+
+void EnclaveCluster::share_registry(obs::Registry* registry) {
+  if (booted_ && !shared_) return;  // per-node bundles are fixed at boot
+  shared_ = true;
+  shared_registry_ = registry;
+  for (auto& node : nodes_) {
+    for (auto& [peer, session] : node->sessions) session->set_obs(registry);
+    if (node->flow) node->flow->set_obs(registry);
+  }
+}
+
+std::size_t EnclaveCluster::add_node(std::string name, std::string platform_id,
+                                     std::uint64_t entropy_seed) {
+  auto node = std::make_unique<Node>();
+  node->id = fabric_.add_node(name);
+  node->name = std::move(name);
+  node->platform_id = std::move(platform_id);
+  node->entropy_seed = entropy_seed;
+  index_of_[node->id] = nodes_.size();
+  nodes_.push_back(std::move(node));
+  return nodes_.size() - 1;
+}
+
+Status EnclaveCluster::connect(std::size_t a, std::size_t b) {
+  return fabric_.connect(nodes_[a]->id, nodes_[b]->id, config_.link);
+}
+
+Status EnclaveCluster::boot(sgx::AttestationService& service) {
+  if (nodes_.empty()) return Error::invalid_argument("cluster has no nodes");
+  service_ = &service;
+  // Nodes attest as the canonical worker image: operators, brokers and
+  // map/reduce tasks all run inside the enclave the MapReduce plane ships.
+  const sgx::EnclaveImage image = mapreduce_worker_image();
+  for (auto& node : nodes_) {
+    if (!shared_) {
+      node->obs = std::make_unique<obs::NodeObs>(
+          node->name, fabric_.clock(), static_cast<std::uint32_t>(node->id),
+          flight_capacity_);
+    }
+    sgx::PlatformConfig cfg;
+    cfg.platform_id = node->platform_id;
+    cfg.entropy_seed = node->entropy_seed;
+    node->platform = std::make_unique<sgx::Platform>(cfg);
+    node->platform->provision(service);
+    if (node->obs) {
+      // EPC pressure lands in the node's own flight ring and registry:
+      // the telemetry epc-thrash detector and the sc-top EPC column read
+      // them.
+      node->platform->memory().epc().set_flight(&node->obs->flight);
+      node->platform->memory().epc().set_obs(&node->obs->registry);
+    }
+    auto enclave = node->platform->create_enclave(image);
+    if (!enclave.ok()) return enclave.error();
+    node->enclave = *enclave;
+    node->demux = std::make_unique<net::SessionDemux>(fabric_, node->id, kSessionChannel);
+    SC_RETURN_IF_ERROR(node->demux->bind());
+  }
+  policy_ = nodes_.front()->enclave->mrenclave();
+  booted_ = true;
+  return {};
+}
+
+net::AttestedSession& EnclaveCluster::open_session(net::AttestedSession::Role role,
+                                                   std::size_t self, std::size_t peer) {
+  Node& node = *nodes_[self];
+  auto& slot = node.sessions[peer];
+  slot = std::make_unique<net::AttestedSession>(
+      role, net::AttestedSession::Config{
+                .fabric = &fabric_,
+                .self = node.id,
+                .peer = nodes_[peer]->id,
+                .channel = kSessionChannel,
+                .enclave = node.enclave,
+                .platform = node.platform.get(),
+                .attestation = service_,
+                .expected_peer_mrenclave = policy_,
+                .retry = session_retry_,
+            });
+  net::AttestedSession& session = *slot;
+  session.set_obs(registry(self));
+  session.set_flight(flight(self));
+  if (on_failure_) {
+    session.set_on_failure(
+        [this, self, peer](const Status&) { on_failure_(self, peer); });
+  }
+  node.demux->add(nodes_[peer]->id, &session);
+  return session;
+}
+
+Status EnclaveCluster::attest(const std::vector<Edge>& edges) {
+  for (const Edge& edge : edges) {
+    const std::string& name = nodes_[edge.responder]->name;
+    net::AttestedSession& responder =
+        open_session(net::AttestedSession::Role::kResponder, edge.responder,
+                     edge.initiator);
+    const std::size_t index = edge.responder;
+    responder.set_on_record([this, index](Bytes record) {
+      nodes_[index]->accepted = on_record_ && on_record_(index, std::move(record));
+    });
+    net::AttestedSession& initiator = open_session(
+        net::AttestedSession::Role::kInitiator, edge.initiator, edge.responder);
+
+    SC_RETURN_IF_ERROR(initiator.start());
+    fabric_.run_until_idle();
+    if (!initiator.established()) {
+      return initiator.failure().ok()
+                 ? Error::unavailable("handshake with '" + name + "' did not complete")
+                 : initiator.failure().error();
+    }
+    if (!responder.established()) {
+      return responder.failure().ok()
+                 ? Error::unavailable("'" + name + "' did not finish the handshake")
+                 : responder.failure().error();
+    }
+    // The only place the app's key crosses the wire: one sealed record.
+    SC_RETURN_IF_ERROR(initiator.send(edge.first_record));
+    fabric_.run_until_idle();
+    if (!nodes_[index]->accepted) {
+      return Error::protocol("'" + name + "' did not accept its first record");
+    }
+  }
+  return {};
+}
+
+FlowNode& EnclaveCluster::attach_flow(std::size_t i, ByteView key) {
+  Node& node = *nodes_[i];
+  node.flow = std::make_unique<FlowNode>(fabric_, node.id, key, config_.flow);
+  node.flow->set_obs(registry(i));
+  node.flow->set_flight(flight(i));
+  return *node.flow;
+}
+
+std::optional<std::size_t> EnclaveCluster::index_of(net::NodeId id) const {
+  const auto it = index_of_.find(id);
+  if (it == index_of_.end()) return std::nullopt;
+  return it->second;
+}
+
+net::AttestedSession* EnclaveCluster::session(std::size_t i, std::size_t peer) const {
+  const auto it = nodes_[i]->sessions.find(peer);
+  return it == nodes_[i]->sessions.end() ? nullptr : it->second.get();
+}
+
+obs::Registry* EnclaveCluster::registry(std::size_t i) const {
+  return nodes_[i]->obs ? &nodes_[i]->obs->registry : shared_registry_;
+}
+
+obs::FlightRecorder* EnclaveCluster::flight(std::size_t i) const {
+  return nodes_[i]->obs ? &nodes_[i]->obs->flight : nullptr;
+}
+
+obs::Tracer* EnclaveCluster::tracer(std::size_t i) const {
+  return nodes_[i]->obs ? &nodes_[i]->obs->tracer : nullptr;
+}
+
+Status EnclaveCluster::health() const {
+  for (const auto& node : nodes_) {
+    if (node->flow) SC_RETURN_IF_ERROR(node->flow->health());
+    for (const auto& [peer, session] : node->sessions) {
+      if (!session->established()) {
+        return session->failure().ok()
+                   ? Error::unavailable("session '" + node->name + "' <-> '" +
+                                        nodes_[peer]->name + "' not established")
+                   : session->failure().error();
+      }
+    }
+  }
+  return {};
+}
+
+Result<obs::ClusterSnapshot> EnclaveCluster::snapshot() const {
+  if (shared_) return Error::protocol("cluster is in shared-registry mode");
+  if (!booted_) return Error::protocol("cluster not booted");
+  std::vector<obs::NodeSnapshot> snapshots;
+  for (const auto& node : nodes_) snapshots.push_back(node->obs->snapshot());
+  return obs::merge_snapshots(std::move(snapshots));
+}
+
+}  // namespace securecloud::bigdata

@@ -1,0 +1,164 @@
+// One enclave-cluster runtime under the fabric-hosted apps.
+//
+// SecureStreams (Pipeline), the SCBR broker tree (FabricOverlay) and
+// distributed MapReduce all run the same cluster underneath: every node
+// is a fabric node with its own sgx::Platform and measured enclave, every
+// app edge is an attested session pair pinned to that enclave's
+// MRENCLAVE, the app's key crosses each edge exactly once as the first
+// sealed record, and from then on all traffic rides a FlowNode keyed by
+// it. EnclaveCluster owns that per-node bundle — fabric node, platform,
+// enclave, obs::NodeObs, SessionDemux, both session ends of every edge,
+// FlowNode — so the apps own only their data planes.
+//
+// Ordering contract (the wire bytes and fabric time of setup depend on
+// it, and tests/cluster_pin_test.cpp pins both):
+//   add_node()  — fabric nodes in the app's order; a node's index is its
+//                 position in that order.
+//   connect()   — fabric links in the app's order.
+//   boot()      — per node, in index order: NodeObs (per-node mode),
+//                 Platform (the app's platform_id and entropy seed),
+//                 provisioning, EPC flight/obs wiring, the enclave, and
+//                 the session demux.
+//   attest()    — the app's edge list in the app's order. Per edge: the
+//                 responder session, then the initiator, the handshake
+//                 run to completion, then the app's first record sealed
+//                 to the responder and drained. The next edge starts only
+//                 after the previous responder accepted its record.
+//
+// Obs modes: per-node (the default) gives every node an obs::NodeObs
+// bundle that its sessions, flow and EPC report into; shared mode wires
+// every node's sessions and flows into one registry (which may be null)
+// and records no spans or flight events. registry(), flight() and
+// tracer() answer for either mode, so no app decides it again.
+#pragma once
+
+#include <functional>
+#include <map>
+#include <memory>
+#include <optional>
+
+#include "bigdata/flow.hpp"
+#include "net/session_demux.hpp"
+#include "obs/cluster.hpp"
+
+namespace securecloud::bigdata {
+
+/// What every fabric-hosted app configures the same way.
+struct ClusterConfig {
+  /// Applied to every link the app connects.
+  net::LinkConfig link;
+  FlowConfig flow;
+};
+
+class EnclaveCluster {
+ public:
+  using RetryConfig = net::AttestedSession::Config::RetryConfig;
+  /// Handshake retransmits that let setup (and later rekeys) ride out
+  /// armed kNetLoss.
+  static constexpr RetryConfig kSessionRetry{.retransmit_timeout_ns = 3'000'000,
+                                             .max_retries = 12};
+
+  /// One edge to attest: `initiator` handshakes with `responder`, then
+  /// seals `first_record` to it.
+  struct Edge {
+    std::size_t initiator = 0;
+    std::size_t responder = 0;
+    Bytes first_record;
+  };
+
+  /// Receives a record sealed to responder `node`; returns whether the
+  /// node accepted it.
+  using OnRecord = std::function<bool(std::size_t node, Bytes record)>;
+  /// A session on `node` toward `peer` failed.
+  using OnSessionFailure = std::function<void(std::size_t node, std::size_t peer)>;
+
+  /// The fabric must outlive the cluster.
+  EnclaveCluster(net::Fabric& fabric, ClusterConfig config,
+                 std::size_t flight_capacity, RetryConfig session_retry = kSessionRetry);
+  EnclaveCluster(const EnclaveCluster&) = delete;
+  EnclaveCluster& operator=(const EnclaveCluster&) = delete;
+  ~EnclaveCluster();
+
+  /// Shared mode. Before boot() it replaces the per-node bundles; after
+  /// boot() in shared mode it re-wires every live session and flow.
+  void share_registry(obs::Registry* registry);
+  bool per_node() const { return !shared_; }
+
+  /// Adds a fabric node named `name`; returns its index.
+  std::size_t add_node(std::string name, std::string platform_id,
+                       std::uint64_t entropy_seed);
+  Status connect(std::size_t a, std::size_t b);
+  /// Builds every node's bundle (see the ordering contract). Every node
+  /// runs the canonical worker image; its measurement is the pin.
+  Status boot(sgx::AttestationService& service);
+
+  void set_on_record(OnRecord fn) { on_record_ = std::move(fn); }
+  void set_on_session_failure(OnSessionFailure fn) { on_failure_ = std::move(fn); }
+
+  /// Attests `edges` in order (see the ordering contract). Fails with the
+  /// first session failure, or kProtocol when a responder refused its
+  /// first record.
+  Status attest(const std::vector<Edge>& edges);
+
+  /// Creates node `i`'s FlowNode keyed by `key`, wired to the node's obs.
+  FlowNode& attach_flow(std::size_t i, ByteView key);
+
+  std::size_t size() const { return nodes_.size(); }
+  net::NodeId node_id(std::size_t i) const { return nodes_[i]->id; }
+  /// The index of the node on fabric node `id`, if it is one of ours.
+  std::optional<std::size_t> index_of(net::NodeId id) const;
+  sgx::Platform& platform(std::size_t i) { return *nodes_[i]->platform; }
+  FlowNode* flow(std::size_t i) const { return nodes_[i]->flow.get(); }
+  /// The session node `i` terminates toward `peer` (null if none).
+  net::AttestedSession* session(std::size_t i, std::size_t peer) const;
+
+  /// Null in shared mode.
+  obs::NodeObs* node_obs(std::size_t i) const { return nodes_[i]->obs.get(); }
+  /// Node `i`'s registry: its own bundle's, or the shared one (may be null).
+  obs::Registry* registry(std::size_t i) const;
+  /// Per-node mode only; null in shared mode.
+  obs::FlightRecorder* flight(std::size_t i) const;
+  obs::Tracer* tracer(std::size_t i) const;
+
+  /// First failure across node flows and sessions, in node order.
+  Status health() const;
+  /// Every node's bundle merged (per-node mode, after boot()).
+  Result<obs::ClusterSnapshot> snapshot() const;
+
+ private:
+  static constexpr std::uint32_t kSessionChannel = 1;
+
+  struct Node {
+    std::string name;
+    std::string platform_id;
+    std::uint64_t entropy_seed = 0;
+    net::NodeId id = 0;
+    std::unique_ptr<obs::NodeObs> obs;
+    std::unique_ptr<sgx::Platform> platform;
+    sgx::Enclave* enclave = nullptr;
+    std::unique_ptr<net::SessionDemux> demux;
+    /// Both session ends this node terminates, keyed by peer index.
+    std::map<std::size_t, std::unique_ptr<net::AttestedSession>> sessions;
+    bool accepted = false;  // took its first record
+    std::unique_ptr<FlowNode> flow;
+  };
+
+  net::AttestedSession& open_session(net::AttestedSession::Role role, std::size_t self,
+                                     std::size_t peer);
+
+  net::Fabric& fabric_;
+  ClusterConfig config_;
+  std::size_t flight_capacity_;
+  RetryConfig session_retry_;
+  bool booted_ = false;
+  bool shared_ = false;
+  obs::Registry* shared_registry_ = nullptr;
+  sgx::AttestationService* service_ = nullptr;
+  sgx::Measurement policy_{};
+  std::vector<std::unique_ptr<Node>> nodes_;
+  std::map<net::NodeId, std::size_t> index_of_;
+  OnRecord on_record_;
+  OnSessionFailure on_failure_;
+};
+
+}  // namespace securecloud::bigdata

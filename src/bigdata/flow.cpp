@@ -184,7 +184,10 @@ void FlowNode::on_chunk(const net::Message& message) {
     }
   }
   refresh_depth();
-  if (in.receiver->has_pending_gaps()) arm_timer();
+  // A payload handler may have quiesced this node or abandoned the
+  // sender, destroying `in`: look the stream up again.
+  const auto it = inbound_.find(message.src);
+  if (it != inbound_.end() && it->second.receiver->has_pending_gaps()) arm_timer();
 }
 
 void FlowNode::on_control(const net::Message& message) {

@@ -154,6 +154,18 @@ class ByteReader {
     out.assign(tmp.begin(), tmp.end());
     return true;
   }
+  /// Reads a u32 element count whose entries each take at least
+  /// `min_entry_bytes` on the wire. Fails when that many entries cannot
+  /// fit in what is left, so an untrusted count never sizes an allocation.
+  bool get_count(std::uint32_t& n, std::size_t min_entry_bytes) {
+    std::uint32_t count = 0;
+    if (!get_u32(count) ||
+        static_cast<std::uint64_t>(count) * min_entry_bytes > remaining()) {
+      return false;
+    }
+    n = count;
+    return true;
+  }
   std::size_t remaining() const { return data_.size() - pos_; }
   bool done() const { return pos_ == data_.size(); }
 

@@ -1,11 +1,12 @@
 // Multiplexes attested sessions on one fabric channel.
 //
-// A node terminating several AttestedSessions (the DMR coordinator, every
-// overlay broker) cannot let each session bind() the shared session
-// channel — the last bind would win. The demux owns the channel handler
-// instead and routes each inbound Message to the session registered for
-// its source node; a frame from an unregistered peer is counted and
-// dropped (an attested channel has no business accepting strangers).
+// A node terminating several AttestedSessions (the DMR coordinator, an
+// interior overlay broker or pipeline stage) cannot let each session
+// bind() the shared session channel — the last bind would win. The demux
+// owns the channel handler instead and routes each inbound Message to the
+// session registered for its source node; a frame from an unregistered
+// peer is counted and dropped (an attested channel has no business
+// accepting strangers). bigdata::EnclaveCluster gives every node one.
 #pragma once
 
 #include <map>

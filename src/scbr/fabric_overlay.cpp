@@ -3,49 +3,15 @@
 #include <algorithm>
 #include <deque>
 
-#include "bigdata/mapreduce.hpp"
-
 namespace securecloud::scbr {
 
 namespace {
-/// Validates that `links` form a spanning tree over [0, broker_count):
-/// ids in range, no self-loops or duplicates, acyclic, and — unlike
-/// BrokerOverlay, which accepts any forest — connected, because the
-/// overlay key is released root-down over the edges.
+/// Spanning-tree check: a forest (validate_forest) that is also connected,
+/// because the overlay key is released root-down over the edges.
 Status validate_tree(std::size_t broker_count,
                      const std::vector<std::pair<BrokerId, BrokerId>>& links) {
   if (broker_count == 0) return Error::invalid_argument("overlay needs a broker");
-  std::vector<BrokerId> parent(broker_count);
-  for (BrokerId i = 0; i < broker_count; ++i) parent[i] = i;
-  const auto find = [&](BrokerId x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  std::set<std::pair<BrokerId, BrokerId>> seen;
-  for (const auto& [a, b] : links) {
-    if (a >= broker_count || b >= broker_count) {
-      return Error::invalid_argument("overlay link references broker " +
-                                     std::to_string(std::max(a, b)) + " of " +
-                                     std::to_string(broker_count));
-    }
-    if (a == b) {
-      return Error::invalid_argument("overlay self-loop at broker " +
-                                     std::to_string(a));
-    }
-    if (!seen.insert({std::min(a, b), std::max(a, b)}).second) {
-      return Error::invalid_argument("duplicate overlay link " + std::to_string(a) +
-                                     "-" + std::to_string(b));
-    }
-    const BrokerId ra = find(a), rb = find(b);
-    if (ra == rb) {
-      return Error::invalid_argument("overlay links contain a cycle through broker " +
-                                     std::to_string(a));
-    }
-    parent[ra] = rb;
-  }
+  SC_RETURN_IF_ERROR(validate_forest(broker_count, links));
   if (links.size() + 1 != broker_count) {
     return Error::invalid_argument(
         "overlay links do not connect all brokers (spanning tree needs " +
@@ -54,10 +20,16 @@ Status validate_tree(std::size_t broker_count,
   }
   return {};
 }
+
+/// Broker i's platform draws entropy seed kEntropySeedBase + i.
+constexpr std::uint64_t kEntropySeedBase = 0xB40C;
+constexpr std::size_t kFlightCapacity = 64;
 }  // namespace
 
 FabricOverlay::FabricOverlay(net::Fabric& fabric, FabricOverlayConfig config)
-    : fabric_(fabric), config_(std::move(config)) {
+    : fabric_(fabric),
+      config_(std::move(config)),
+      cluster_(fabric, config_.cluster, kFlightCapacity) {
   if (config_.links.empty() && config_.broker_count > 1) {
     for (BrokerId i = 0; i + 1 < config_.broker_count; ++i) {
       config_.links.emplace_back(i, i + 1);
@@ -69,7 +41,7 @@ FabricOverlay::FabricOverlay(net::Fabric& fabric, FabricOverlayConfig config)
 FabricOverlay::~FabricOverlay() = default;
 
 void FabricOverlay::set_obs(obs::Registry* registry) {
-  if (!ready_) shared_registry_ = registry;
+  if (!ready_ && registry != nullptr) cluster_.share_registry(registry);
 }
 
 void FabricOverlay::wire_counters(Broker& broker, obs::Registry* registry) {
@@ -87,62 +59,32 @@ Status FabricOverlay::setup(sgx::AttestationService& service) {
   if (ready_) return Error::protocol("overlay already set up");
   SC_RETURN_IF_ERROR(topology_);
 
-  // --- brokers: fabric nodes, links, observability -----------------------
   for (BrokerId i = 0; i < config_.broker_count; ++i) {
     auto broker = std::make_unique<Broker>();
     broker->index = i;
-    broker->node = fabric_.add_node("broker-" + std::to_string(i));
-    node_to_broker_[broker->node] = i;
+    cluster_.add_node("broker-" + std::to_string(i),
+                      "platform-broker-" + std::to_string(i), kEntropySeedBase + i);
+    broker->node = cluster_.node_id(i);
     brokers_.push_back(std::move(broker));
   }
   for (const auto& [a, b] : config_.links) {
     brokers_[a]->neighbours.push_back(b);
     brokers_[b]->neighbours.push_back(a);
-    SC_RETURN_IF_ERROR(
-        fabric_.connect(brokers_[a]->node, brokers_[b]->node, config_.link));
+    SC_RETURN_IF_ERROR(cluster_.connect(a, b));
   }
-  for (auto& broker : brokers_) {
-    if (shared_registry_ == nullptr) {
-      broker->onode = std::make_unique<obs::NodeObs>(
-          "broker-" + std::to_string(broker->index), fabric_.clock(),
-          static_cast<std::uint32_t>(broker->node), config_.flight_capacity);
-      wire_counters(*broker, &broker->onode->registry);
-    } else {
-      wire_counters(*broker, shared_registry_);
-    }
-  }
+  SC_RETURN_IF_ERROR(cluster_.boot(service));
+  for (auto& broker : brokers_) wire_counters(*broker, cluster_.registry(broker->index));
 
-  // --- platforms and enclaves --------------------------------------------
-  // Brokers attest as the canonical worker image — pub/sub matching runs
-  // inside the same measured enclave the MapReduce plane ships.
-  const sgx::EnclaveImage image = bigdata::mapreduce_worker_image();
-  for (auto& broker : brokers_) {
-    sgx::PlatformConfig cfg;
-    cfg.platform_id = "platform-broker-" + std::to_string(broker->index);
-    cfg.entropy_seed = config_.entropy_seed_base + broker->index;
-    broker->platform = std::make_unique<sgx::Platform>(cfg);
-    broker->platform->provision(service);
-    if (broker->onode) {
-      broker->platform->memory().epc().set_flight(&broker->onode->flight);
-    }
-    auto enclave = broker->platform->create_enclave(image);
-    if (!enclave.ok()) return enclave.error();
-    broker->enclave = *enclave;
-    broker->demux = std::make_unique<net::SessionDemux>(fabric_, broker->node,
-                                                        kSessionChannel);
-    SC_RETURN_IF_ERROR(broker->demux->bind());
-  }
-
-  // --- key dissemination down the tree -----------------------------------
-  // The root mints the overlay key; every edge, walked breadth-first from
-  // the root, runs an attested handshake and releases the key through the
-  // sealed session — so a parent always holds the key before any of its
-  // children's edges are established, and no broker joins the data plane
-  // without proving the pinned MRENCLAVE.
-  const sgx::Measurement policy = brokers_[0]->enclave->mrenclave();
-  brokers_[0]->overlay_key = brokers_[0]->platform->entropy().bytes(16);
-  attach_flow(*brokers_[0]);
-
+  // The root mints the overlay key; the edges, walked breadth-first from
+  // the root, release it as their first sealed record — so a parent
+  // always holds the key before any of its children's edges are
+  // attested, and no broker joins the data plane without proving the
+  // pinned MRENCLAVE.
+  const Bytes key = cluster_.platform(0).entropy().bytes(16);
+  attach_flow(0, key);
+  Bytes record;
+  put_blob(record, key);
+  std::vector<bigdata::EnclaveCluster::Edge> edges;
   std::vector<bool> visited(brokers_.size(), false);
   visited[0] = true;
   std::deque<BrokerId> frontier{0};
@@ -152,123 +94,45 @@ Status FabricOverlay::setup(sgx::AttestationService& service) {
     for (const BrokerId next : brokers_[at]->neighbours) {
       if (visited[next]) continue;
       visited[next] = true;
-      SC_RETURN_IF_ERROR(establish_edge(service, at, next, policy));
+      edges.push_back({at, next, record});
       frontier.push_back(next);
     }
   }
+  cluster_.set_on_record([this](std::size_t broker, Bytes key_record) {
+    return on_key_record(broker, std::move(key_record));
+  });
+  SC_RETURN_IF_ERROR(cluster_.attest(edges));
 
   ready_ = true;
   return {};
 }
 
-Status FabricOverlay::establish_edge(sgx::AttestationService& service,
-                                     BrokerId parent, BrokerId child,
-                                     const sgx::Measurement& policy) {
-  Broker& up = *brokers_[parent];
-  Broker& down = *brokers_[child];
-  const net::AttestedSession::Config::RetryConfig retry{
-      .retransmit_timeout_ns = config_.session_retransmit_timeout_ns,
-      .max_retries = config_.session_max_retries,
-  };
-
-  auto responder = std::make_unique<net::AttestedSession>(
-      net::AttestedSession::Role::kResponder,
-      net::AttestedSession::Config{
-          .fabric = &fabric_,
-          .self = down.node,
-          .peer = up.node,
-          .channel = kSessionChannel,
-          .enclave = down.enclave,
-          .platform = down.platform.get(),
-          .attestation = &service,
-          .expected_peer_mrenclave = policy,
-          .retry = retry,
-      });
-  Broker* down_ptr = &down;
-  responder->set_on_record([this, down_ptr](Bytes record) {
-    on_key_record(*down_ptr, std::move(record));
-  });
-  responder->set_obs(down.onode ? &down.onode->registry : shared_registry_);
-  if (down.onode) responder->set_flight(&down.onode->flight);
-  down.demux->add(up.node, responder.get());
-
-  auto initiator = std::make_unique<net::AttestedSession>(
-      net::AttestedSession::Role::kInitiator,
-      net::AttestedSession::Config{
-          .fabric = &fabric_,
-          .self = up.node,
-          .peer = down.node,
-          .channel = kSessionChannel,
-          .enclave = up.enclave,
-          .platform = up.platform.get(),
-          .attestation = &service,
-          .expected_peer_mrenclave = policy,
-          .retry = retry,
-      });
-  initiator->set_obs(up.onode ? &up.onode->registry : shared_registry_);
-  if (up.onode) initiator->set_flight(&up.onode->flight);
-  up.demux->add(down.node, initiator.get());
-
-  SC_RETURN_IF_ERROR(initiator->start());
-  fabric_.run_until_idle();
-  if (!initiator->established()) {
-    return initiator->failure().ok()
-               ? Error::unavailable("handshake with broker " +
-                                    std::to_string(child) + " did not complete")
-               : initiator->failure().error();
-  }
-  if (!responder->established()) {
-    return responder->failure().ok()
-               ? Error::unavailable("broker " + std::to_string(child) +
-                                    " did not finish the handshake")
-               : responder->failure().error();
-  }
-
-  // The only place the overlay key crosses the wire: one sealed record.
-  Bytes record;
-  put_blob(record, up.overlay_key);
-  SC_RETURN_IF_ERROR(initiator->send(record));
-  fabric_.run_until_idle();
-  if (down.overlay_key.empty()) {
-    return Error::protocol("broker " + std::to_string(child) +
-                           " did not accept the overlay key");
-  }
-  up.sessions[child] = std::move(initiator);
-  down.sessions[parent] = std::move(responder);
-  return {};
-}
-
-void FabricOverlay::on_key_record(Broker& broker, Bytes record) {
+bool FabricOverlay::on_key_record(BrokerId broker, Bytes record) {
   ByteReader r(record);
   Bytes key;
-  if (!r.get_blob(key) || !r.done() || key.empty()) return;
-  broker.overlay_key = std::move(key);
-  attach_flow(broker);
+  if (!r.get_blob(key) || !r.done() || key.empty()) return false;
+  attach_flow(broker, key);
+  return true;
 }
 
-void FabricOverlay::attach_flow(Broker& broker) {
-  broker.flow = std::make_unique<bigdata::FlowNode>(fabric_, broker.node,
-                                                    broker.overlay_key,
-                                                    config_.flow);
-  Broker* ptr = &broker;
-  broker.flow->set_on_payload([this, ptr](net::NodeId from, Bytes payload) {
-    on_flow_payload(*ptr, from, std::move(payload));
-  });
-  broker.flow->set_obs(broker.onode ? &broker.onode->registry : shared_registry_);
-  if (broker.onode) broker.flow->set_flight(&broker.onode->flight);
+void FabricOverlay::attach_flow(BrokerId broker, ByteView key) {
+  cluster_.attach_flow(broker, key)
+      .set_on_payload([this, broker](net::NodeId from, Bytes payload) {
+        on_flow_payload(*brokers_[broker], from, std::move(payload));
+      });
 }
 
 void FabricOverlay::send_payload(Broker& broker, BrokerId to, Bytes payload) {
   // Delivery failures (dead stream past the NACK budget) surface through
   // health(); routing does not retry above the flow layer.
-  (void)broker.flow->send(brokers_[to]->node, payload);
+  (void)cluster_.flow(broker.index)->send(brokers_[to]->node, payload);
 }
 
 void FabricOverlay::on_flow_payload(Broker& broker, net::NodeId from_node,
                                     Bytes payload) {
-  const auto origin = node_to_broker_.find(from_node);
-  if (origin == node_to_broker_.end()) return;
-  const BrokerId from = origin->second;
+  const std::optional<std::size_t> origin = cluster_.index_of(from_node);
+  if (!origin) return;
+  const BrokerId from = *origin;
   ByteReader r(payload);
   std::uint8_t type = 0;
   if (!r.get_u8(type)) return;
@@ -537,21 +401,7 @@ Result<std::vector<std::uint64_t>> FabricOverlay::publish_batch(
   return ids;
 }
 
-Status FabricOverlay::health() const {
-  for (const auto& broker : brokers_) {
-    if (broker->flow) SC_RETURN_IF_ERROR(broker->flow->health());
-    for (const auto& [peer, session] : broker->sessions) {
-      if (!session->established()) {
-        return session->failure().ok()
-                   ? Error::unavailable("session broker " +
-                                        std::to_string(broker->index) + " <-> " +
-                                        std::to_string(peer) + " not established")
-                   : session->failure().error();
-      }
-    }
-  }
-  return {};
-}
+Status FabricOverlay::health() const { return cluster_.health(); }
 
 std::size_t FabricOverlay::remote_entries(BrokerId broker) const {
   if (broker >= brokers_.size()) return 0;
@@ -581,17 +431,11 @@ std::size_t FabricOverlay::shard_count(BrokerId broker) const {
 }
 
 Result<obs::ClusterSnapshot> FabricOverlay::cluster_snapshot() const {
-  if (shared_registry_ != nullptr) {
-    return Error::protocol("overlay is in shared-registry mode");
-  }
-  if (!ready_) return Error::protocol("overlay not set up");
-  std::vector<obs::NodeSnapshot> nodes;
-  for (const auto& broker : brokers_) nodes.push_back(broker->onode->snapshot());
-  return obs::merge_snapshots(std::move(nodes));
+  return cluster_.snapshot();
 }
 
 obs::NodeObs* FabricOverlay::broker_obs(BrokerId broker) {
-  return broker < brokers_.size() ? brokers_[broker]->onode.get() : nullptr;
+  return broker < cluster_.size() ? cluster_.node_obs(broker) : nullptr;
 }
 
 net::NodeId FabricOverlay::broker_node(BrokerId broker) const {

@@ -1,14 +1,13 @@
 // Content-based routing overlay hosted on the cluster fabric.
 //
 // BrokerOverlay models the covering protocol with direct method calls;
-// this driver runs the *same* protocol as a distributed system: every
-// broker is a fabric node with its own sgx::Platform and enclave, each
-// overlay edge carries an AttestedSession pair (mutual quotes bound to
-// the channel transcript, MRENCLAVE pinned), the overlay key is released
-// root-down through those sessions, and all subscription/retraction/
-// publication traffic rides FlowNode — chunked, AES-GCM sealed per
-// chunk, NACK-recovered — so armed loss/reorder faults are survivable
-// without protocol-level retries.
+// this driver runs the *same* protocol as a distributed system: the
+// brokers are one bigdata::EnclaveCluster — a node per broker, an
+// attested edge per overlay link (established breadth-first from broker
+// 0), the overlay key released root-down as each edge's first sealed
+// record — and all subscription/retraction/publication traffic rides
+// FlowNode — chunked, AES-GCM sealed per chunk, NACK-recovered — so armed
+// loss/reorder faults are survivable without protocol-level retries.
 //
 // Distribution changes one thing structurally: a broker can no longer
 // probe its neighbour's routing table for the covering-suppression
@@ -44,10 +43,8 @@
 #include <memory>
 #include <set>
 
-#include "bigdata/flow.hpp"
+#include "bigdata/enclave_cluster.hpp"
 #include "common/thread_pool.hpp"
-#include "net/session_demux.hpp"
-#include "obs/cluster.hpp"
 #include "scbr/overlay.hpp"
 
 namespace securecloud::scbr {
@@ -58,19 +55,12 @@ struct FabricOverlayConfig {
   /// dissemination and routing both need every broker reachable). Empty
   /// means the chain 0-1-...-n-1.
   std::vector<std::pair<BrokerId, BrokerId>> links;
-  /// Applied to every overlay edge.
-  net::LinkConfig link;
-  bigdata::FlowConfig flow;
-  std::uint64_t entropy_seed_base = 0xB40C;
-  /// Session handshake retransmit knobs (handshakes run in setup(),
-  /// normally before faults are armed; the budget covers rekeys).
-  std::uint64_t session_retransmit_timeout_ns = 3'000'000;
-  std::size_t session_max_retries = 12;
+  /// Overlay edges and flows.
+  bigdata::ClusterConfig cluster;
   /// Record every (publication, broker, subscription) delivery triple.
   /// Benchmarks with millions of deliveries turn this off and read the
   /// counters instead.
   bool record_deliveries = true;
-  std::size_t flight_capacity = 64;
 };
 
 class FabricOverlay {
@@ -87,10 +77,9 @@ class FabricOverlay {
   FabricOverlay& operator=(const FabricOverlay&) = delete;
   ~FabricOverlay();
 
-  /// Builds the broker tree: fabric nodes + links, per-broker platforms
-  /// and enclaves, an attested session pair per edge (established
-  /// breadth-first from broker 0), the overlay key released through each
-  /// session, and a FlowNode per broker keyed by it.
+  /// Builds the broker tree as an EnclaveCluster: fabric nodes + links,
+  /// an attested edge per link (breadth-first from broker 0), the overlay
+  /// key released through each, and a FlowNode per broker keyed by it.
   Status setup(sgx::AttestationService& service);
 
   /// Shared-registry mode: call before setup() to wire every broker's
@@ -145,31 +134,23 @@ class FabricOverlay {
   const Status& topology() const { return topology_; }
 
  private:
-  static constexpr std::uint32_t kSessionChannel = 1;
   // Flow payload types (first byte of every flow payload).
   static constexpr std::uint8_t kSubscribe = 1;
   static constexpr std::uint8_t kRetract = 2;
   static constexpr std::uint8_t kPublish = 3;
   static constexpr BrokerId kNoBroker = static_cast<BrokerId>(-1);
 
+  /// A broker's routing state; its enclave, sessions and flow live in the
+  /// cluster under the broker's index.
   struct Broker {
     BrokerId index = 0;
     net::NodeId node = 0;
     std::vector<BrokerId> neighbours;
-    std::unique_ptr<sgx::Platform> platform;
-    sgx::Enclave* enclave = nullptr;
-    /// Both session ends this broker terminates, keyed by peer broker
-    /// (initiator on edges where this broker is the BFS parent).
-    std::map<BrokerId, std::unique_ptr<net::AttestedSession>> sessions;
-    std::unique_ptr<net::SessionDemux> demux;
-    Bytes overlay_key;
-    std::unique_ptr<bigdata::FlowNode> flow;
 
     ShardedPosetEngine local;
     std::map<BrokerId, ShardedPosetEngine> recv;  // peer -> advertised to us
     std::map<BrokerId, ShardedPosetEngine> sent;  // peer -> advertised by us
 
-    std::unique_ptr<obs::NodeObs> onode;
     obs::Counter* obs_forwarded = nullptr;
     obs::Counter* obs_suppressed = nullptr;
     obs::Counter* obs_prunes = nullptr;
@@ -177,10 +158,8 @@ class FabricOverlay {
     obs::Counter* obs_deliveries = nullptr;
   };
 
-  Status establish_edge(sgx::AttestationService& service, BrokerId parent,
-                        BrokerId child, const sgx::Measurement& policy);
-  void on_key_record(Broker& broker, Bytes record);
-  void attach_flow(Broker& broker);
+  bool on_key_record(BrokerId broker, Bytes record);
+  void attach_flow(BrokerId broker, ByteView key);
   void wire_counters(Broker& broker, obs::Registry* registry);
   void on_flow_payload(Broker& broker, net::NodeId from_node, Bytes payload);
 
@@ -210,13 +189,12 @@ class FabricOverlay {
   FabricOverlayConfig config_;
   Status topology_;
   bool ready_ = false;
+  bigdata::EnclaveCluster cluster_;
   std::vector<std::unique_ptr<Broker>> brokers_;
-  std::map<net::NodeId, BrokerId> node_to_broker_;
   std::map<SubscriptionId, BrokerId> home_;
   std::uint64_t next_publication_ = 0;
   OverlayStats stats_;
   std::map<std::uint64_t, DeliverySet> deliveries_;
-  obs::Registry* shared_registry_ = nullptr;
 };
 
 }  // namespace securecloud::scbr

@@ -4,11 +4,8 @@
 
 namespace securecloud::scbr {
 
-namespace {
-/// Validates that `links` form a forest over [0, broker_count): ids in
-/// range, no self-loops, no duplicate links, no cycles (union-find).
-Status validate_topology(std::size_t broker_count,
-                         const std::vector<std::pair<BrokerId, BrokerId>>& links) {
+Status validate_forest(std::size_t broker_count,
+                       const std::vector<std::pair<BrokerId, BrokerId>>& links) {
   std::vector<BrokerId> parent(broker_count);
   for (BrokerId i = 0; i < broker_count; ++i) parent[i] = i;
   const auto find = [&](BrokerId x) {
@@ -41,11 +38,10 @@ Status validate_topology(std::size_t broker_count,
   }
   return {};
 }
-}  // namespace
 
 BrokerOverlay::BrokerOverlay(std::size_t broker_count,
                              const std::vector<std::pair<BrokerId, BrokerId>>& links)
-    : brokers_(broker_count), topology_(validate_topology(broker_count, links)) {
+    : brokers_(broker_count), topology_(validate_forest(broker_count, links)) {
   if (!topology_.ok()) return;  // inert: no neighbour lists to recurse on
   for (const auto& [a, b] : links) {
     brokers_[a].neighbours.push_back(b);

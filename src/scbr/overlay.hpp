@@ -40,6 +40,11 @@ struct OverlayStats {
   std::uint64_t deliveries = 0;
 };
 
+/// Validates that `links` form a forest over [0, broker_count): ids in
+/// range, no self-loops, no duplicate links, no cycles (union-find).
+Status validate_forest(std::size_t broker_count,
+                       const std::vector<std::pair<BrokerId, BrokerId>>& links);
+
 class BrokerOverlay {
  public:
   /// Builds an overlay with `broker_count` brokers connected by `links`

@@ -85,6 +85,10 @@ bool get_f64(ByteReader& in, double& v) {
   v = std::bit_cast<double>(bits);
   return true;
 }
+
+/// Stage i's platform draws entropy seed kEntropySeedBase + i.
+constexpr std::uint64_t kEntropySeedBase = 0x57AE;
+constexpr std::size_t kFlightCapacity = 64;
 }  // namespace
 
 // --- builder ---------------------------------------------------------------
@@ -201,7 +205,9 @@ bool get_window_payload(const Record& record, WindowPayload& payload) {
 
 Pipeline::Pipeline(net::Fabric& fabric, std::vector<StageSpec> stages,
                    PipelineConfig config)
-    : fabric_(fabric), config_(std::move(config)) {
+    : fabric_(fabric),
+      config_(std::move(config)),
+      cluster_(fabric, config_.cluster, kFlightCapacity) {
   topology_ = validate_stages(stages);
   for (std::size_t i = 0; i < stages.size(); ++i) {
     auto stage = std::make_unique<Stage>();
@@ -214,7 +220,7 @@ Pipeline::Pipeline(net::Fabric& fabric, std::vector<StageSpec> stages,
 Pipeline::~Pipeline() = default;
 
 void Pipeline::set_obs(obs::Registry* registry) {
-  if (!ready_) shared_registry_ = registry;
+  if (!ready_ && registry != nullptr) cluster_.share_registry(registry);
 }
 
 void Pipeline::wire_counters(Stage& stage, obs::Registry* registry) {
@@ -232,33 +238,24 @@ Status Pipeline::setup(sgx::AttestationService& service) {
   if (ready_) return Error::protocol("pipeline already set up");
   SC_RETURN_IF_ERROR(topology_);
 
-  // --- stages: fabric nodes, links, observability ------------------------
   // The fabric node (and NodeObs bundle) is *named after the stage*, so
   // spans carry the stage name as their node label and the critical-path
   // analyzer's dominant_node IS the bottleneck stage's name.
   for (auto& stage : stages_) {
-    stage->node = fabric_.add_node(stage->spec.name);
+    const std::string& name = stage->spec.name;
+    cluster_.add_node(name, "platform-stage-" + name, kEntropySeedBase + stage->index);
+    stage->node = cluster_.node_id(stage->index);
     if (stage->index + 1 < stages_.size()) {
       stage->credits = config_.credit_window;
     }
   }
   for (std::size_t i = 0; i + 1 < stages_.size(); ++i) {
-    SC_RETURN_IF_ERROR(
-        fabric_.connect(stages_[i]->node, stages_[i + 1]->node, config_.link));
+    SC_RETURN_IF_ERROR(cluster_.connect(i, i + 1));
   }
-  for (auto& stage : stages_) {
-    if (shared_registry_ == nullptr) {
-      stage->onode = std::make_unique<obs::NodeObs>(
-          stage->spec.name, fabric_.clock(),
-          static_cast<std::uint32_t>(stage->node), config_.flight_capacity);
-      wire_counters(*stage, &stage->onode->registry);
-    } else {
-      wire_counters(*stage, shared_registry_);
-    }
-  }
+  SC_RETURN_IF_ERROR(cluster_.boot(service));
 
-  // --- window engines ----------------------------------------------------
   for (auto& stage : stages_) {
+    wire_counters(*stage, cluster_.registry(stage->index));
     if (stage->spec.kind != StageKind::kWindow) continue;
     Stage* raw = stage.get();
     stage->agg = std::make_unique<bigdata::TumblingWindowAggregator>(
@@ -266,140 +263,40 @@ Status Pipeline::setup(sgx::AttestationService& service) {
         [this, raw](const bigdata::WindowResult& result) {
           raw->window_out.push_back(window_record(result, fabric_.now_ns()));
         });
-    stage->agg->set_obs(stage->onode ? &stage->onode->registry : shared_registry_);
+    stage->agg->set_obs(cluster_.registry(stage->index));
   }
 
-  // --- platforms and enclaves --------------------------------------------
-  // Stages attest as the canonical worker image: operators run inside the
-  // same measured enclave the MapReduce plane ships.
-  const sgx::EnclaveImage image = bigdata::mapreduce_worker_image();
-  for (auto& stage : stages_) {
-    sgx::PlatformConfig cfg;
-    cfg.platform_id = "platform-stage-" + stage->spec.name;
-    cfg.entropy_seed = config_.entropy_seed_base + stage->index;
-    stage->platform = std::make_unique<sgx::Platform>(cfg);
-    stage->platform->provision(service);
-    if (stage->onode) {
-      stage->platform->memory().epc().set_flight(&stage->onode->flight);
-    }
-    auto enclave = stage->platform->create_enclave(image);
-    if (!enclave.ok()) return enclave.error();
-    stage->enclave = *enclave;
-    stage->demux = std::make_unique<net::SessionDemux>(fabric_, stage->node,
-                                                       kSessionChannel);
-    SC_RETURN_IF_ERROR(stage->demux->bind());
-  }
-
-  // --- key dissemination down the chain ----------------------------------
   // The source mints the pipeline key; every edge, walked source-down,
-  // runs an attested handshake and releases the key through the sealed
-  // session — so no stage joins the data plane without proving the
-  // pinned MRENCLAVE.
-  const sgx::Measurement policy = stages_[0]->enclave->mrenclave();
-  stages_[0]->key = stages_[0]->platform->entropy().bytes(16);
-  attach_flow(*stages_[0]);
-  for (std::size_t i = 0; i + 1 < stages_.size(); ++i) {
-    SC_RETURN_IF_ERROR(establish_edge(service, i, i + 1, policy));
-  }
+  // releases it as the first sealed record — so no stage joins the data
+  // plane without proving the pinned MRENCLAVE.
+  const Bytes key = cluster_.platform(0).entropy().bytes(16);
+  attach_flow(0, key);
+  Bytes record;
+  put_blob(record, key);
+  std::vector<bigdata::EnclaveCluster::Edge> edges;
+  for (std::size_t i = 0; i + 1 < stages_.size(); ++i) edges.push_back({i, i + 1, record});
+  cluster_.set_on_record([this](std::size_t index, Bytes key_record) {
+    return on_key_record(index, std::move(key_record));
+  });
+  SC_RETURN_IF_ERROR(cluster_.attest(edges));
 
   ready_ = true;
   return {};
 }
 
-Status Pipeline::establish_edge(sgx::AttestationService& service,
-                                std::size_t upstream, std::size_t downstream,
-                                const sgx::Measurement& policy) {
-  Stage& up = *stages_[upstream];
-  Stage& down = *stages_[downstream];
-  const net::AttestedSession::Config::RetryConfig retry{
-      .retransmit_timeout_ns = config_.session_retransmit_timeout_ns,
-      .max_retries = config_.session_max_retries,
-  };
-
-  auto responder = std::make_unique<net::AttestedSession>(
-      net::AttestedSession::Role::kResponder,
-      net::AttestedSession::Config{
-          .fabric = &fabric_,
-          .self = down.node,
-          .peer = up.node,
-          .channel = kSessionChannel,
-          .enclave = down.enclave,
-          .platform = down.platform.get(),
-          .attestation = &service,
-          .expected_peer_mrenclave = policy,
-          .retry = retry,
-      });
-  Stage* down_ptr = &down;
-  responder->set_on_record([this, down_ptr](Bytes record) {
-    on_key_record(*down_ptr, std::move(record));
-  });
-  responder->set_obs(down.onode ? &down.onode->registry : shared_registry_);
-  if (down.onode) responder->set_flight(&down.onode->flight);
-  down.demux->add(up.node, responder.get());
-
-  auto initiator = std::make_unique<net::AttestedSession>(
-      net::AttestedSession::Role::kInitiator,
-      net::AttestedSession::Config{
-          .fabric = &fabric_,
-          .self = up.node,
-          .peer = down.node,
-          .channel = kSessionChannel,
-          .enclave = up.enclave,
-          .platform = up.platform.get(),
-          .attestation = &service,
-          .expected_peer_mrenclave = policy,
-          .retry = retry,
-      });
-  initiator->set_obs(up.onode ? &up.onode->registry : shared_registry_);
-  if (up.onode) initiator->set_flight(&up.onode->flight);
-  up.demux->add(down.node, initiator.get());
-
-  SC_RETURN_IF_ERROR(initiator->start());
-  fabric_.run_until_idle();
-  if (!initiator->established()) {
-    return initiator->failure().ok()
-               ? Error::unavailable("handshake with stage '" + down.spec.name +
-                                    "' did not complete")
-               : initiator->failure().error();
-  }
-  if (!responder->established()) {
-    return responder->failure().ok()
-               ? Error::unavailable("stage '" + down.spec.name +
-                                    "' did not finish the handshake")
-               : responder->failure().error();
-  }
-
-  // The only place the pipeline key crosses the wire: one sealed record.
-  Bytes record;
-  put_blob(record, up.key);
-  SC_RETURN_IF_ERROR(initiator->send(record));
-  fabric_.run_until_idle();
-  if (down.key.empty()) {
-    return Error::protocol("stage '" + down.spec.name +
-                           "' did not accept the pipeline key");
-  }
-  up.sessions[downstream] = std::move(initiator);
-  down.sessions[upstream] = std::move(responder);
-  return {};
-}
-
-void Pipeline::on_key_record(Stage& stage, Bytes record) {
+bool Pipeline::on_key_record(std::size_t index, Bytes record) {
   ByteReader r(record);
   Bytes key;
-  if (!r.get_blob(key) || !r.done() || key.empty()) return;
-  stage.key = std::move(key);
-  attach_flow(stage);
+  if (!r.get_blob(key) || !r.done() || key.empty()) return false;
+  attach_flow(index, key);
+  return true;
 }
 
-void Pipeline::attach_flow(Stage& stage) {
-  stage.flow = std::make_unique<bigdata::FlowNode>(fabric_, stage.node, stage.key,
-                                                   config_.flow);
-  Stage* ptr = &stage;
-  stage.flow->set_on_payload([this, ptr](net::NodeId from, Bytes payload) {
-    on_frame(*ptr, from, std::move(payload));
-  });
-  stage.flow->set_obs(stage.onode ? &stage.onode->registry : shared_registry_);
-  if (stage.onode) stage.flow->set_flight(&stage.onode->flight);
+void Pipeline::attach_flow(std::size_t index, ByteView key) {
+  cluster_.attach_flow(index, key)
+      .set_on_payload([this, index](net::NodeId from, Bytes payload) {
+        on_frame(*stages_[index], from, std::move(payload));
+      });
 }
 
 // --- the data plane --------------------------------------------------------
@@ -447,19 +344,19 @@ void Pipeline::pump(std::size_t index) {
 }
 
 void Pipeline::flush_out(Stage& stage) {
-  if (stage.index + 1 >= stages_.size() || !stage.flow) return;
+  bigdata::FlowNode* out = flow(stage);
+  if (stage.index + 1 >= stages_.size() || out == nullptr) return;
   Stage& down = *stages_[stage.index + 1];
   while (!stage.outq.empty()) {
     const Item::Kind kind = stage.outq.front().kind;
     if (kind == Item::Kind::kWatermark) {
-      (void)stage.flow->send(down.node,
-                             encode_watermark_frame(stage.outq.front().watermark_s),
-                             root_ctx_);
+      (void)out->send(down.node, encode_watermark_frame(stage.outq.front().watermark_s),
+                      root_ctx_);
       stage.outq.pop_front();
       continue;
     }
     if (kind == Item::Kind::kEos) {
-      (void)stage.flow->send(down.node, encode_eos_frame(), root_ctx_);
+      (void)out->send(down.node, encode_eos_frame(), root_ctx_);
       stage.outq.pop_front();
       continue;
     }
@@ -487,7 +384,7 @@ void Pipeline::flush_out(Stage& stage) {
       --stage.outq_records;
     }
     stage.credits -= batch.size();
-    (void)stage.flow->send(down.node, encode_data_frame(batch), root_ctx_);
+    (void)out->send(down.node, encode_data_frame(batch), root_ctx_);
   }
 }
 
@@ -508,7 +405,7 @@ void Pipeline::maybe_generate(Stage& stage) {
   stage.busy = true;
   stage.pending_out = std::move(pulled);
   stage.batch_span = std::make_unique<obs::Span>(
-      stage.tracer(), "stage." + stage.spec.name, root_ctx_);
+      cluster_.tracer(stage.index), "stage." + stage.spec.name, root_ctx_);
   const std::uint64_t charge = fabric_.scaled_compute_ns(
       stage.node,
       stage.spec.compute_ns_per_record *
@@ -611,7 +508,7 @@ void Pipeline::begin_batch(Stage& stage, std::vector<Record> batch) {
   stage.pending_in = std::move(batch);
   stage.pending_out.clear();
   stage.batch_span = std::make_unique<obs::Span>(
-      stage.tracer(), "stage." + stage.spec.name, root_ctx_);
+      cluster_.tracer(stage.index), "stage." + stage.spec.name, root_ctx_);
   apply_pure(stage);
   const std::uint64_t charge = fabric_.scaled_compute_ns(
       stage.node,
@@ -713,14 +610,14 @@ void Pipeline::push_out_record(Stage& stage, Record record) {
 }
 
 void Pipeline::maybe_grant(Stage& stage) {
-  if (stage.index == 0 || stage.consumed_since_grant == 0 || !stage.flow) return;
+  if (stage.index == 0 || stage.consumed_since_grant == 0 || !flow(stage)) return;
   // Grant when a batch's worth accumulated — or whenever the input queue
   // drained, so credits never strand below the batch threshold.
   const bool drained = stage.inq_records == 0 && !stage.busy;
   if (stage.consumed_since_grant < config_.grant_batch && !drained) return;
   Stage& up = *stages_[stage.index - 1];
-  (void)stage.flow->send(up.node, encode_credit_frame(stage.consumed_since_grant),
-                         root_ctx_);
+  (void)flow(stage)->send(up.node, encode_credit_frame(stage.consumed_since_grant),
+                          root_ctx_);
   stage.stats.credits_granted += stage.consumed_since_grant;
   obs_inc(stage.obs_credits_granted, stage.consumed_since_grant);
   stage.consumed_since_grant = 0;
@@ -732,7 +629,7 @@ Status Pipeline::enable_telemetry(obs::TelemetryMonitor* monitor,
                                   std::uint64_t interval_ns,
                                   std::size_t max_frames_per_stage) {
   if (!ready_) return Error::protocol("pipeline not set up");
-  if (shared_registry_ != nullptr) {
+  if (!cluster_.per_node()) {
     return Error::invalid_argument(
         "telemetry requires per-node obs mode (no shared registry)");
   }
@@ -744,7 +641,8 @@ Status Pipeline::enable_telemetry(obs::TelemetryMonitor* monitor,
   telemetry_interval_ns_ = interval_ns;
   telemetry_max_frames_ = max_frames_per_stage;
   for (auto& stage : stages_) {
-    stage->sampler = std::make_unique<obs::TelemetrySampler>(stage->onode.get());
+    stage->sampler =
+        std::make_unique<obs::TelemetrySampler>(cluster_.node_obs(stage->index));
     stage->telemetry_frames = 0;
   }
   return {};
@@ -777,8 +675,7 @@ Status Pipeline::run() {
   if (ran_) return Error::protocol("pipeline already ran");
   ran_ = true;
   run_start_ns_ = fabric_.now_ns();
-  root_span_ = std::make_unique<obs::Span>(stages_.front()->tracer(),
-                                           "stream.pipeline");
+  root_span_ = std::make_unique<obs::Span>(cluster_.tracer(0), "stream.pipeline");
   root_ctx_ = root_span_->context();
   pump(0);
   if (monitor_ != nullptr) {
@@ -819,30 +716,10 @@ PipelineStats Pipeline::stats() const {
   return out;
 }
 
-Status Pipeline::health() const {
-  for (const auto& stage : stages_) {
-    if (stage->flow) SC_RETURN_IF_ERROR(stage->flow->health());
-    for (const auto& [peer, session] : stage->sessions) {
-      if (!session->established()) {
-        return session->failure().ok()
-                   ? Error::unavailable("session stage '" + stage->spec.name +
-                                        "' <-> stage " + std::to_string(peer) +
-                                        " not established")
-                   : session->failure().error();
-      }
-    }
-  }
-  return {};
-}
+Status Pipeline::health() const { return cluster_.health(); }
 
 Result<obs::ClusterSnapshot> Pipeline::cluster_snapshot() const {
-  if (shared_registry_ != nullptr) {
-    return Error::protocol("pipeline is in shared-registry mode");
-  }
-  if (!ready_) return Error::protocol("pipeline not set up");
-  std::vector<obs::NodeSnapshot> nodes;
-  for (const auto& stage : stages_) nodes.push_back(stage->onode->snapshot());
-  return obs::merge_snapshots(std::move(nodes));
+  return cluster_.snapshot();
 }
 
 net::NodeId Pipeline::stage_node(std::size_t stage) const {
@@ -850,7 +727,7 @@ net::NodeId Pipeline::stage_node(std::size_t stage) const {
 }
 
 obs::NodeObs* Pipeline::stage_obs(std::size_t stage) {
-  return stage < stages_.size() ? stages_[stage]->onode.get() : nullptr;
+  return stage < cluster_.size() ? cluster_.node_obs(stage) : nullptr;
 }
 
 }  // namespace securecloud::streams

@@ -3,11 +3,10 @@
 //
 // A Pipeline is a linear chain of operator stages — source, map, filter,
 // key_by, window, process, sink — each running in its own enclave on a
-// fabric node. Setup mirrors the SCBR fabric overlay: every stage gets
-// an sgx::Platform + measured enclave, adjacent stages run an attested
-// handshake (quotes bound to the channel transcript, MRENCLAVE pinned),
-// the pipeline key minted at the source is released hop by hop through
-// the sealed sessions, and all inter-stage traffic rides a FlowNode
+// fabric node. The stages are one bigdata::EnclaveCluster: one node per
+// stage, one attested edge per adjacent pair (established source-down),
+// the pipeline key minted at the source released hop by hop as each
+// edge's first sealed record, and all inter-stage traffic on a FlowNode
 // keyed by it — chunked, AES-GCM sealed per chunk, NACK-recovered, so
 // armed loss/reorder faults are survivable with zero record loss.
 //
@@ -45,17 +44,14 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "bigdata/flow.hpp"
+#include "bigdata/enclave_cluster.hpp"
 #include "bigdata/streaming.hpp"
 #include "common/thread_pool.hpp"
-#include "net/session_demux.hpp"
-#include "obs/cluster.hpp"
 #include "obs/telemetry.hpp"
 #include "streams/record.hpp"
 
@@ -143,12 +139,8 @@ class PipelineBuilder {
 };
 
 struct PipelineConfig {
-  /// Applied to every inter-stage link.
-  net::LinkConfig link;
-  bigdata::FlowConfig flow;
-  std::uint64_t entropy_seed_base = 0x57AE;
-  std::uint64_t session_retransmit_timeout_ns = 3'000'000;
-  std::size_t session_max_retries = 12;
+  /// Inter-stage links and flows.
+  bigdata::ClusterConfig cluster;
   /// Records a stage may have outstanding (sent, not yet granted back)
   /// toward its downstream; also the source's output-queue bound, so
   /// per-stage memory is O(credit_window) regardless of stream length.
@@ -162,7 +154,6 @@ struct PipelineConfig {
   /// Source emits a watermark when event time advanced this far past
   /// the last one.
   std::uint64_t watermark_interval_s = 60;
-  std::size_t flight_capacity = 64;
 };
 
 struct StageStats {
@@ -212,10 +203,9 @@ class Pipeline {
   Pipeline& operator=(const Pipeline&) = delete;
   ~Pipeline();
 
-  /// Builds the chain: fabric nodes named after their stage, per-stage
-  /// platforms and enclaves, an attested session per edge (established
-  /// source-down), the pipeline key released through each session, and
-  /// a FlowNode per stage keyed by it.
+  /// Builds the chain as an EnclaveCluster: fabric nodes named after
+  /// their stage, an attested edge per adjacent pair (source-down), the
+  /// pipeline key released through each, and a FlowNode per stage.
   Status setup(sgx::AttestationService& service);
 
   /// Shared-registry mode: call before setup() to aggregate every
@@ -263,8 +253,6 @@ class Pipeline {
   const Status& topology() const { return topology_; }
 
  private:
-  static constexpr std::uint32_t kSessionChannel = 1;
-
   struct Item {
     enum class Kind : std::uint8_t { kRecord, kWatermark, kEos };
     Kind kind = Kind::kRecord;
@@ -272,19 +260,12 @@ class Pipeline {
     std::uint64_t watermark_s = 0;
   };
 
+  /// A stage's data-plane state; its enclave, sessions and flow live in
+  /// the cluster under the stage's index.
   struct Stage {
     std::size_t index = 0;
     StageSpec spec;
     net::NodeId node = 0;
-    std::unique_ptr<sgx::Platform> platform;
-    sgx::Enclave* enclave = nullptr;
-    std::unique_ptr<net::SessionDemux> demux;
-    /// Sessions this stage terminates, keyed by peer stage index
-    /// (initiator toward downstream, responder toward upstream).
-    std::map<std::size_t, std::unique_ptr<net::AttestedSession>> sessions;
-    Bytes key;
-    std::unique_ptr<bigdata::FlowNode> flow;
-    std::unique_ptr<obs::NodeObs> onode;
 
     std::deque<Item> inq;
     std::size_t inq_records = 0;  // data records in inq (controls excluded)
@@ -317,14 +298,11 @@ class Pipeline {
     obs::Counter* obs_credits_granted = nullptr;
     obs::Counter* obs_credit_stalls = nullptr;
     obs::Counter* obs_stall_ns = nullptr;
-
-    obs::Tracer* tracer() { return onode ? &onode->tracer : nullptr; }
   };
 
-  Status establish_edge(sgx::AttestationService& service, std::size_t upstream,
-                        std::size_t downstream, const sgx::Measurement& policy);
-  void on_key_record(Stage& stage, Bytes record);
-  void attach_flow(Stage& stage);
+  bool on_key_record(std::size_t index, Bytes record);
+  void attach_flow(std::size_t index, ByteView key);
+  bigdata::FlowNode* flow(const Stage& stage) const { return cluster_.flow(stage.index); }
   void wire_counters(Stage& stage, obs::Registry* registry);
   void on_frame(Stage& stage, net::NodeId from, Bytes payload);
 
@@ -349,9 +327,9 @@ class Pipeline {
   Status topology_;
   bool ready_ = false;
   bool ran_ = false;
+  bigdata::EnclaveCluster cluster_;
   std::vector<std::unique_ptr<Stage>> stages_;
   common::ThreadPool* pool_ = nullptr;
-  obs::Registry* shared_registry_ = nullptr;
   obs::TelemetryMonitor* monitor_ = nullptr;
   std::uint64_t telemetry_interval_ns_ = 0;
   std::size_t telemetry_max_frames_ = 0;

@@ -13,6 +13,10 @@ bool get_f64(ByteReader& in, double& v) {
   v = std::bit_cast<double>(bits);
   return true;
 }
+
+/// The smallest put_record encoding: key and payload length prefixes plus
+/// timestamp, value and origin.
+constexpr std::size_t kMinRecordBytes = 4 + 8 + 8 + 8 + 4;
 }  // namespace
 
 void put_record(Bytes& out, const Record& record) {
@@ -66,7 +70,9 @@ Result<Frame> decode_frame(ByteView wire) {
     case FrameType::kData: {
       frame.type = FrameType::kData;
       std::uint32_t n = 0;
-      if (!r.get_u32(n)) return Error::protocol("data frame missing count");
+      if (!r.get_count(n, kMinRecordBytes)) {
+        return Error::protocol("data frame count missing or larger than the frame");
+      }
       frame.batch.resize(n);
       for (std::uint32_t i = 0; i < n; ++i) {
         if (!get_record(r, frame.batch[i])) {

@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "bigdata/distributed_mapreduce.hpp"
+#include "bigdata/enclave_cluster.hpp"
 #include "crypto/sha256.hpp"
 #include "net/fabric.hpp"
 #include "scbr/fabric_overlay.hpp"
@@ -328,6 +329,77 @@ void expect_dmr_pins(const DmrPin& pin) {
 TEST(ClusterPin, DistributedMapReduceSharedRegistry) { expect_dmr_pins(run_dmr(false)); }
 
 TEST(ClusterPin, DistributedMapReducePerNode) { expect_dmr_pins(run_dmr(true)); }
+
+// --- the runtime itself ----------------------------------------------------
+
+/// A three-node chain 0 -> 1 -> 2 whose nodes accept a first record iff
+/// it is non-empty.
+struct ChainRig {
+  SimClock clock;
+  net::Fabric fabric{clock};
+  sgx::AttestationService service;
+  bigdata::EnclaveCluster cluster{fabric, {}, 16};
+
+  Status build(Bytes first_record) {
+    for (std::size_t i = 0; i < 3; ++i) {
+      cluster.add_node("n" + std::to_string(i), "platform-n" + std::to_string(i), 40 + i);
+    }
+    SC_RETURN_IF_ERROR(cluster.connect(0, 1));
+    SC_RETURN_IF_ERROR(cluster.connect(1, 2));
+    SC_RETURN_IF_ERROR(cluster.boot(service));
+    cluster.set_on_record([](std::size_t, Bytes record) { return !record.empty(); });
+    return cluster.attest({{0, 1, first_record}, {1, 2, first_record}});
+  }
+};
+
+TEST(EnclaveCluster, PerNodeModeGivesEveryNodeItsOwnBundle) {
+  ChainRig rig;
+  ASSERT_TRUE(rig.build(to_bytes("key")).ok());
+  EXPECT_TRUE(rig.cluster.per_node());
+  EXPECT_TRUE(rig.cluster.health().ok());
+  for (std::size_t i = 0; i < 3; ++i) {
+    ASSERT_NE(rig.cluster.node_obs(i), nullptr);
+    EXPECT_EQ(rig.cluster.registry(i), &rig.cluster.node_obs(i)->registry);
+    EXPECT_EQ(rig.cluster.flight(i), &rig.cluster.node_obs(i)->flight);
+    EXPECT_EQ(rig.cluster.index_of(rig.cluster.node_id(i)), i);
+  }
+  // Both ends of each edge exist and point at each other.
+  EXPECT_NE(rig.cluster.session(0, 1), nullptr);
+  EXPECT_NE(rig.cluster.session(1, 0), nullptr);
+  EXPECT_EQ(rig.cluster.session(0, 2), nullptr);
+  auto snapshot = rig.cluster.snapshot();
+  ASSERT_TRUE(snapshot.ok());
+  ASSERT_EQ(snapshot->nodes.size(), 3u);
+  // The EPC reports into the node's own registry.
+  EXPECT_EQ(snapshot->nodes[0].metrics.counters.count("sgx_epc_accesses_total"), 1u);
+}
+
+TEST(EnclaveCluster, SharedModeWiresOneRegistryAndNoBundles) {
+  ChainRig rig;
+  obs::Registry shared;
+  rig.cluster.share_registry(&shared);
+  ASSERT_TRUE(rig.build(to_bytes("key")).ok());
+  EXPECT_FALSE(rig.cluster.per_node());
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(rig.cluster.node_obs(i), nullptr);
+    EXPECT_EQ(rig.cluster.registry(i), &shared);
+    EXPECT_EQ(rig.cluster.flight(i), nullptr);
+    EXPECT_EQ(rig.cluster.tracer(i), nullptr);
+  }
+  EXPECT_EQ(shared.snapshot().counters.at("net_sessions_established_total"), 4u);
+  auto snapshot = rig.cluster.snapshot();
+  ASSERT_FALSE(snapshot.ok());
+  EXPECT_EQ(snapshot.error().code, ErrorCode::kProtocolError);
+}
+
+TEST(EnclaveCluster, RefusedFirstRecordStopsTheEdgeWalk) {
+  ChainRig rig;
+  Status status = rig.build(Bytes{});
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, ErrorCode::kProtocolError);
+  // The walk stopped at the first edge: the second was never attested.
+  EXPECT_EQ(rig.cluster.session(1, 2), nullptr);
+}
 
 }  // namespace
 }  // namespace securecloud

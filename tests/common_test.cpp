@@ -95,6 +95,24 @@ TEST(Bytes, ReaderRejectsOversizedLengthPrefix) {
   EXPECT_FALSE(r.get_blob(blob));
 }
 
+TEST(Bytes, ReaderBoundsCountsByRemainingBytes) {
+  Bytes b;
+  put_u32(b, 2);
+  put_u64(b, 1);
+  put_u64(b, 2);
+  std::uint32_t n = 0;
+  ByteReader fits(b);
+  ASSERT_TRUE(fits.get_count(n, 8));  // two 8-byte entries follow
+  EXPECT_EQ(n, 2u);
+  ByteReader too_wide(b);
+  EXPECT_FALSE(too_wide.get_count(n, 9));  // 18 bytes cannot fit in 16
+
+  Bytes huge;
+  put_u32(huge, 0xffffffffu);  // four billion entries in zero bytes
+  ByteReader hostile(huge);
+  EXPECT_FALSE(hostile.get_count(n, 1));
+}
+
 TEST(Result, OkAndErrorPaths) {
   Result<int> ok = 42;
   ASSERT_TRUE(ok.ok());

@@ -269,6 +269,7 @@ TEST(EventRing, HammerWriterVsExporterUnderReclamation) {
   EventRing<StampedEvent> ring(domain, 32);
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> exports{0};
+  std::atomic<bool> collected{false};
 
   std::thread exporter([&] {
     std::vector<const StampedEvent*> out;
@@ -276,6 +277,7 @@ TEST(EventRing, HammerWriterVsExporterUnderReclamation) {
       out.clear();
       EpochDomain::Guard guard(domain);
       ring.collect(out);
+      collected.store(true, std::memory_order_release);
       // Dereference everything we collected: epoch reclamation must keep
       // each pointer alive for the whole guard (TSan + ASan checkable).
       for (const auto* ev : out) {
@@ -291,6 +293,9 @@ TEST(EventRing, HammerWriterVsExporterUnderReclamation) {
   for (std::uint64_t i = 0; i < 50'000; ++i) {
     ring.append(new StampedEvent{i, "event-" + std::to_string(i)});
   }
+  // On a loaded host the writer can finish before the exporter thread is
+  // first scheduled; let it collect at least once before stopping.
+  while (!collected.load(std::memory_order_acquire)) std::this_thread::yield();
   stop.store(true, std::memory_order_release);
   exporter.join();
   EXPECT_GT(exports.load(), 0u);

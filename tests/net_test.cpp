@@ -972,6 +972,57 @@ TEST(DistributedMapReduce, BackToBackJobsStayCorrect) {
 // bit-identical output, JobStats, and obs counters for a fixed seed —
 // at 1 thread vs 8 threads, and across repeated runs — and that output
 // equals the fault-free result (faults recover, never diverge).
+TEST(DistributedMapReduce, ControlDecodersBoundHostileCounts) {
+  // kMapTask: epoch, task, then a record count of 0xffffffff and nothing
+  // behind it. The worker fails with this typed error instead of sizing
+  // a four-billion-entry vector.
+  Bytes task;
+  put_u64(task, 1);
+  put_u64(task, 0);
+  put_u32(task, 0xffffffffu);
+  auto map_task = bigdata::decode_map_task(task);
+  ASSERT_FALSE(map_task.ok());
+  EXPECT_EQ(map_task.error().code, ErrorCode::kProtocolError);
+
+  // kAssign with a hostile dead-node count, then with a sane dead list and
+  // owner table but a hostile reassignment count.
+  Bytes dead;
+  put_u64(dead, 1);
+  put_u32(dead, 0xffffffffu);
+  auto hostile_dead = bigdata::decode_assignment(dead);
+  ASSERT_FALSE(hostile_dead.ok());
+  EXPECT_EQ(hostile_dead.error().code, ErrorCode::kProtocolError);
+
+  Bytes reassign;
+  put_u64(reassign, 1);
+  put_u32(reassign, 0);  // no dead nodes
+  put_u32(reassign, 1);  // one owner
+  put_u64(reassign, 7);
+  put_u32(reassign, 0xffffffffu);
+  auto hostile_reassign = bigdata::decode_assignment(reassign);
+  ASSERT_FALSE(hostile_reassign.ok());
+  EXPECT_EQ(hostile_reassign.error().code, ErrorCode::kProtocolError);
+
+  // The same shapes with honest counts decode.
+  Bytes honest = task;
+  honest.resize(honest.size() - 4);
+  put_u32(honest, 1);
+  put_blob(honest, bytes_of("record"));
+  auto ok_task = bigdata::decode_map_task(honest);
+  ASSERT_TRUE(ok_task.ok());
+  EXPECT_EQ(ok_task->records, std::vector<Bytes>{bytes_of("record")});
+  Bytes honest_assign = reassign;
+  honest_assign.resize(honest_assign.size() - 4);
+  put_u32(honest_assign, 1);
+  put_u64(honest_assign, 2);
+  put_u64(honest_assign, 9);
+  auto ok_assign = bigdata::decode_assignment(honest_assign);
+  ASSERT_TRUE(ok_assign.ok());
+  EXPECT_EQ(ok_assign->owners, std::vector<net::NodeId>{7});
+  ASSERT_EQ(ok_assign->reassigns.size(), 1u);
+  EXPECT_EQ(ok_assign->reassigns[0], (std::pair<std::uint64_t, net::NodeId>{2, 9}));
+}
+
 TEST(DistributedMapReduce, DeterministicUnderFaultsAtAnyThreadCount) {
   const std::uint64_t seed = 42;
   const DistRun serial = run_distributed_job(seed, 1, /*with_faults=*/true);
@@ -1320,9 +1371,9 @@ std::string run_postmortem_job(std::size_t threads) {
   // tiny NACK budget: the first lost chunk is unrepairable, so the
   // stream dies as a typed failure and the fabric still idles (a total
   // blackout would beacon forever).
-  config.flow.chunk_size = 256;
-  config.flow.retransmit_buffer_chunks = 1;
-  config.flow.recovery.max_nacks_per_gap = 3;
+  config.cluster.flow.chunk_size = 256;
+  config.cluster.flow.retransmit_buffer_chunks = 1;
+  config.cluster.flow.recovery.max_nacks_per_gap = 3;
   // This test *wants* the typed failure: recovery would re-execute the
   // lost task and rescue the job.
   config.recovery.enabled = false;

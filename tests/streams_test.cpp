@@ -93,6 +93,14 @@ TEST(StreamRecord, DecodeIsStrict) {
   EXPECT_FALSE(decode_frame(truncated).ok());
 }
 
+TEST(StreamRecord, DecodeBoundsTheRecordCount) {
+  // A data frame claiming 0x0fffffff records in zero bytes is a typed
+  // protocol error, not an allocation sized by the hostile count.
+  auto hostile = decode_frame(Bytes{0x01, 0xff, 0xff, 0xff, 0x0f});
+  ASSERT_FALSE(hostile.ok());
+  EXPECT_EQ(hostile.error().code, ErrorCode::kProtocolError);
+}
+
 // ----------------------------------------------------------------- builder
 
 TEST(StreamPipeline, BuilderRejectsMalformedChains) {
