@@ -1431,8 +1431,9 @@ Result<JobResult> DistributedMapReduce::run(
     // gap -> kUnavailable), else a generic incompleteness error.
     if (Status h = coordinator_flow().health(); !h.ok()) return fail(h.error());
     for (const auto& worker : workers_) {
-      if (worker->alive && worker_flow(*worker)) {
-        if (Status h = worker_flow(*worker)->health(); !h.ok()) return fail(h.error());
+      const FlowNode* flow = worker_flow(*worker);
+      if (worker->alive && flow != nullptr) {
+        if (Status h = flow->health(); !h.ok()) return fail(h.error());
       }
     }
     return fail(Error::unavailable(
