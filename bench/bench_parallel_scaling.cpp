@@ -20,7 +20,7 @@
 #include "bigdata/transfer.hpp"
 #include "common/thread_pool.hpp"
 #include "crypto/sha256.hpp"
-#include "obs/registry.hpp"
+#include "obs/cluster.hpp"
 #include "scbr/poset_engine.hpp"
 #include "scbr/router.hpp"
 #include "scbr/workload.hpp"
@@ -38,26 +38,29 @@ double wall_seconds(const std::function<void()>& fn) {
 }
 
 /// What one timed run produced: a digest of the observable output, the
-/// simulated-cycle total, and the run's exported obs registry snapshot.
+/// simulated-cycle total, and the run's obs registry snapshot.
 /// Runs at different thread counts must agree on all three — the
 /// determinism contract of the parallel layer now covers the metrics.
 struct RunResult {
   double seconds = 0;
   std::string digest;
   std::uint64_t sim_cycles = 0;
-  std::string obs_json;
+  obs::Snapshot metrics;
 };
 
 bool identical(const RunResult& r, const RunResult& baseline) {
   return r.digest == baseline.digest && r.sim_cycles == baseline.sim_cycles &&
-         r.obs_json == baseline.obs_json;
+         r.metrics == baseline.metrics;
 }
 
 void emit(const char* bench, std::size_t threads, const RunResult& r,
           const RunResult& baseline) {
   // hw_threads lets a reader judge the speedup column: on a 1-core host
   // the expected speedup is ~1.0 and "identical" is the signal that
-  // matters; real scaling needs threads <= hw_threads.
+  // matters; real scaling needs threads <= hw_threads. The metrics are
+  // exported as an obs.v2 cluster of one node named after the bench.
+  const std::string obs_json =
+      obs::merge_snapshots({{.node = bench, .metrics = r.metrics}}).to_obs_json();
   std::printf(
       "{\"bench\":\"%s\",\"threads\":%zu,\"hw_threads\":%u,"
       "\"seconds\":%.4f,"
@@ -67,7 +70,7 @@ void emit(const char* bench, std::size_t threads, const RunResult& r,
       baseline.seconds / r.seconds,
       static_cast<unsigned long long>(r.sim_cycles),
       identical(r, baseline) ? "true" : "false",
-      r.obs_json.empty() ? "{}" : r.obs_json.c_str());
+      obs_json.c_str());
 }
 
 std::string hex_digest(const Bytes& data) {
@@ -153,7 +156,7 @@ RunResult run_mapreduce(std::size_t threads) {
      << out->stats.simulated_cycles;
   result.digest = hex_digest(to_bytes(os.str()));
   result.sim_cycles = platform.clock().cycles();
-  result.obs_json = registry.to_json();
+  result.metrics = registry.snapshot();
   return result;
 }
 
@@ -176,7 +179,7 @@ RunResult run_scbr_batch(std::size_t threads) {
   sign_image(image, crypto::ed25519_keypair(signer.array<32>()));
   auto enclave = platform.create_enclave(image);
   if (!enclave.ok()) {
-    return {0, "error: " + enclave.error().message, 0, ""};
+    return {0, "error: " + enclave.error().message, 0, {}};
   }
   keys.authorize_router((*enclave)->mrenclave());
 
@@ -187,7 +190,7 @@ RunResult run_scbr_batch(std::size_t threads) {
   }
 
   scbr::ScbrRouter router(**enclave, std::make_unique<scbr::PosetEngine>());
-  if (!router.provision(keys).ok()) return {0, "error: provision failed", 0, ""};
+  if (!router.provision(keys).ok()) return {0, "error: provision failed", 0, {}};
   obs::Registry registry;
   router.set_obs(&registry);
   platform.set_obs(&registry);
@@ -203,7 +206,7 @@ RunResult run_scbr_batch(std::size_t threads) {
     const auto& owner = subscribers[i % subscribers.size()];
     auto sub = router.subscribe(
         owner.name, encrypt_subscription(owner, workload.next_filter(), i + 1));
-    if (!sub.ok()) return {0, "error: subscribe failed", 0, ""};
+    if (!sub.ok()) return {0, "error: subscribe failed", 0, {}};
   }
 
   std::vector<scbr::ScbrRouter::PublishRequest> batch;
@@ -232,7 +235,7 @@ RunResult run_scbr_batch(std::size_t threads) {
   put_u64(digest_input, router.metrics().deliveries);
   result.digest = hex_digest(digest_input);
   result.sim_cycles = platform.clock().cycles();
-  result.obs_json = registry.to_json();
+  result.metrics = registry.snapshot();
   return result;
 }
 
@@ -276,7 +279,7 @@ RunResult run_bulk_crypto(std::size_t threads) {
   for (const auto& c : chunks) append(digest_input, c);
   result.digest = hex_digest(digest_input);
   result.sim_cycles = sender.stats().wire_bytes;  // stands in for cycles
-  result.obs_json = registry.to_json();
+  result.metrics = registry.snapshot();
   return result;
 }
 

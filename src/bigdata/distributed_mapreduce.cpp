@@ -336,25 +336,16 @@ Status DistributedMapReduce::setup(sgx::AttestationService& service) {
     }
 
     // Telemetry plane: per-node delta samplers + the coordinator-side
-    // monitor with the configured anomaly detectors. The monitor's
-    // alert hook fires the flight pull while the job is still running.
+    // monitor with its straggler detector. The monitor's alert hook
+    // fires the flight pull while the job is still running.
     if (config_.telemetry.enabled) {
       monitor_ = std::make_unique<obs::TelemetryMonitor>(
           obs::TelemetryMonitorConfig{config_.telemetry.window_cycles,
                                       config_.telemetry.ring_capacity});
+      // Alert once the median worker has finished a task and a node
+      // lags it by one.
       monitor_->add_detector(std::make_unique<obs::StragglerDriftDetector>(
-          "dist_worker_tasks_done_total", config_.telemetry.straggler_min_progress,
-          config_.telemetry.straggler_min_lag));
-      if (config_.telemetry.fault_storm_threshold != 0) {
-        monitor_->add_detector(obs::make_fault_storm_detector(
-            config_.telemetry.window_cycles,
-            config_.telemetry.fault_storm_threshold));
-      }
-      if (config_.telemetry.epc_thrash_threshold != 0) {
-        monitor_->add_detector(obs::make_epc_thrash_detector(
-            config_.telemetry.window_cycles,
-            config_.telemetry.epc_thrash_threshold));
-      }
+          "dist_worker_tasks_done_total", /*min_progress=*/1, /*min_lag=*/1));
       monitor_->set_on_alert(
           [this](const obs::Alert& alert) { on_telemetry_alert(alert); });
       coordinator_sampler_ = std::make_unique<obs::TelemetrySampler>(coordinator_obs());

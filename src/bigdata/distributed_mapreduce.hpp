@@ -127,16 +127,6 @@ struct DistributedMapReduceConfig {
     /// Monitor rollup window / ring depth (timeseries.hpp).
     std::uint64_t window_cycles = 4'000'000;
     std::size_t ring_capacity = 64;
-    /// Straggler drift: alert when the cluster median of
-    /// dist_worker_tasks_done_total is >= min_progress and a node lags
-    /// it by >= min_lag tasks.
-    std::uint64_t straggler_min_progress = 1;
-    std::uint64_t straggler_min_lag = 1;
-    /// NACK+retransmit burst per rollup window that counts as a fault
-    /// storm. 0 disables the detector.
-    std::uint64_t fault_storm_threshold = 0;
-    /// EPC faults per rollup window that count as thrash. 0 disables.
-    std::uint64_t epc_thrash_threshold = 0;
   };
   TelemetryConfig telemetry;
 };

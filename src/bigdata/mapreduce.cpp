@@ -41,7 +41,8 @@ Bytes serialize_pairs(const std::vector<KeyValue>& pairs) {
 Result<std::vector<KeyValue>> deserialize_pairs(ByteView wire) {
   ByteReader reader(wire);
   std::uint32_t count = 0;
-  if (!reader.get_u32(count)) return Error::protocol("truncated pair block");
+  // Each pair is at least an empty key plus a u64: 12 wire bytes.
+  if (!reader.get_count(count, 12)) return Error::protocol("truncated pair block");
   std::vector<KeyValue> pairs;
   pairs.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {

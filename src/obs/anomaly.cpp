@@ -64,14 +64,6 @@ void WindowedBurstDetector::evaluate(const TelemetryMonitor& /*monitor*/,
   out.push_back(std::move(alert));
 }
 
-std::unique_ptr<AnomalyDetector> make_backpressure_stall_detector(
-    std::uint64_t window_cycles, std::uint64_t stall_ns_threshold) {
-  return std::make_unique<WindowedBurstDetector>(
-      "backpressure_stall",
-      std::vector<std::string>{"streams_stall_ns_total"}, window_cycles,
-      stall_ns_threshold);
-}
-
 std::unique_ptr<AnomalyDetector> make_fault_storm_detector(
     std::uint64_t window_cycles, std::uint64_t events_threshold) {
   return std::make_unique<WindowedBurstDetector>(
@@ -79,13 +71,6 @@ std::unique_ptr<AnomalyDetector> make_fault_storm_detector(
       std::vector<std::string>{"net_flow_nacks_sent_total",
                                "net_flow_retransmits_total"},
       window_cycles, events_threshold);
-}
-
-std::unique_ptr<AnomalyDetector> make_epc_thrash_detector(
-    std::uint64_t window_cycles, std::uint64_t faults_threshold) {
-  return std::make_unique<WindowedBurstDetector>(
-      "epc_thrash", std::vector<std::string>{"sgx_epc_faults_total"},
-      window_cycles, faults_threshold);
 }
 
 }  // namespace securecloud::obs

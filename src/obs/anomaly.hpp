@@ -9,16 +9,12 @@
 // fires the alert hook (which the cluster layers use to pull a
 // flight-recorder postmortem from the offending node).
 //
-// Four built-ins cover the failure modes the SecureCloud platform
+// Two built-ins cover the failure modes the SecureCloud platform
 // layer cares about:
-//   StragglerDriftDetector    — a node's progress counter falls behind
-//                               the cluster median (compute skew, §V).
-//   BackpressureStallDetector — streams credit stalls burn more than a
-//                               threshold of stall time per window.
-//   FaultStormDetector        — NACK + retransmit burst per window
-//                               (lossy or partitioned link).
-//   EpcThrashDetector         — EPC fault burst per window (working
-//                               set overflowing the enclave cache).
+//   StragglerDriftDetector — a node's progress counter falls behind
+//                            the cluster median (compute skew, §V).
+//   fault storm            — NACK + retransmit burst per window (lossy
+//                            or partitioned link), a WindowedBurstDetector.
 #pragma once
 
 #include <cstdint>
@@ -110,16 +106,8 @@ class WindowedBurstDetector : public AnomalyDetector {
   std::map<std::string, NodeWindow> per_node_;
 };
 
-/// streams_stall_ns_total burning ≥ threshold ns of stall per window.
-std::unique_ptr<AnomalyDetector> make_backpressure_stall_detector(
-    std::uint64_t window_cycles, std::uint64_t stall_ns_threshold);
-
 /// net_flow NACKs + retransmits bursting ≥ threshold per window.
 std::unique_ptr<AnomalyDetector> make_fault_storm_detector(
     std::uint64_t window_cycles, std::uint64_t events_threshold);
-
-/// sgx_epc_faults_total bursting ≥ threshold per window.
-std::unique_ptr<AnomalyDetector> make_epc_thrash_detector(
-    std::uint64_t window_cycles, std::uint64_t faults_threshold);
 
 }  // namespace securecloud::obs

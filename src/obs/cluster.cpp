@@ -9,17 +9,6 @@ namespace {
 
 constexpr std::uint32_t kSnapshotMagic = 0x4f425332;  // "OBS2"
 
-void put_i64(Bytes& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-bool get_i64(ByteReader& in, std::int64_t& v) {
-  std::uint64_t raw = 0;
-  if (!in.get_u64(raw)) return false;
-  v = static_cast<std::int64_t>(raw);
-  return true;
-}
-
 struct MergedSpan {
   const SpanRecord* span = nullptr;
   const std::string* node = nullptr;
@@ -43,6 +32,45 @@ std::vector<MergedSpan> merged_spans(const ClusterSnapshot& snap) {
     return a.span->span_id < b.span->span_id;
   });
   return all;
+}
+
+// One node's metrics object: sorted keys, so equal snapshots write
+// byte-identical JSON.
+std::string metrics_json(const Snapshot& snap) {
+  std::string out = "{\"counters\":{";
+  bool first = true;
+  for (const auto& [name, value] : snap.counters) {
+    if (!first) out += ',';
+    first = false;
+    append_json_string(out, name);
+    out += ':' + std::to_string(value);
+  }
+  out += "},\"gauges\":{";
+  first = true;
+  for (const auto& [name, value] : snap.gauges) {
+    if (!first) out += ',';
+    first = false;
+    append_json_string(out, name);
+    out += ':' + std::to_string(value);
+  }
+  out += "},\"histograms\":{";
+  first = true;
+  for (const auto& [name, h] : snap.histograms) {
+    if (!first) out += ',';
+    first = false;
+    append_json_string(out, name);
+    out += ":{\"count\":" + std::to_string(h.count) +
+           ",\"sum\":" + std::to_string(h.sum) + ",\"buckets\":[";
+    bool first_bucket = true;
+    for (const auto& [le, n] : h.buckets) {
+      if (!first_bucket) out += ',';
+      first_bucket = false;
+      out += "[" + std::to_string(le) + "," + std::to_string(n) + "]";
+    }
+    out += "]}";
+  }
+  out += "}}";
+  return out;
 }
 
 std::string flight_events_json(const std::vector<FlightEvent>& evs,
@@ -81,16 +109,8 @@ Bytes serialize_node_snapshot(const NodeSnapshot& snap) {
   put_u32(out, kSnapshotMagic);
   put_str(out, snap.node);
 
-  put_u32(out, static_cast<std::uint32_t>(snap.metrics.counters.size()));
-  for (const auto& [name, value] : snap.metrics.counters) {
-    put_str(out, name);
-    put_u64(out, value);
-  }
-  put_u32(out, static_cast<std::uint32_t>(snap.metrics.gauges.size()));
-  for (const auto& [name, value] : snap.metrics.gauges) {
-    put_str(out, name);
-    put_i64(out, value);
-  }
+  put_metric_map(out, snap.metrics.counters);
+  put_metric_map(out, snap.metrics.gauges);
   put_u32(out, static_cast<std::uint32_t>(snap.metrics.histograms.size()));
   for (const auto& [name, hist] : snap.metrics.histograms) {
     put_str(out, name);
@@ -140,34 +160,23 @@ Result<NodeSnapshot> deserialize_node_snapshot(ByteView wire) {
   NodeSnapshot snap;
   if (!in.get_str(snap.node)) return fail();
 
+  if (!get_metric_map(in, snap.metrics.counters) ||
+      !get_metric_map(in, snap.metrics.gauges)) {
+    return fail();
+  }
+  // Every count below is bounded by the smallest wire size of one entry
+  // (get_count), so a corrupt count never drives an allocation.
   std::uint32_t n = 0;
-  if (!in.get_u32(n)) return fail();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string name;
-    std::uint64_t value = 0;
-    if (!in.get_str(name) || !in.get_u64(value)) return fail();
-    snap.metrics.counters.emplace(std::move(name), value);
-  }
-  if (!in.get_u32(n)) return fail();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string name;
-    std::int64_t value = 0;
-    if (!in.get_str(name) || !get_i64(in, value)) return fail();
-    snap.metrics.gauges.emplace(std::move(name), value);
-  }
-  if (!in.get_u32(n)) return fail();
+  // Histogram: empty name + count + sum + bucket count = 24 bytes.
+  if (!in.get_count(n, 24)) return fail();
   for (std::uint32_t i = 0; i < n; ++i) {
     std::string name;
     HistogramSnapshot hist;
     std::uint32_t buckets = 0;
     if (!in.get_str(name) || !in.get_u64(hist.count) || !in.get_u64(hist.sum) ||
-        !in.get_u32(buckets)) {
+        !in.get_count(buckets, 16)) {
       return fail();
     }
-    // A corrupt count must not drive a huge allocation: each bucket
-    // entry takes at least 16 wire bytes, so any claimed count beyond
-    // remaining()/16 is provably malformed.
-    if (buckets > in.remaining() / 16) return fail();
     hist.buckets.reserve(buckets);
     for (std::uint32_t b = 0; b < buckets; ++b) {
       std::uint64_t upper = 0;
@@ -178,10 +187,8 @@ Result<NodeSnapshot> deserialize_node_snapshot(ByteView wire) {
     snap.metrics.histograms.emplace(std::move(name), std::move(hist));
   }
 
-  if (!in.get_u32(n)) return fail();
-  // Minimum span wire size: 3×u64 ids + empty name + 2×u64 stamps + attr
-  // count = 48 bytes. Bound before reserving (corrupt-count hardening).
-  if (n > in.remaining() / 48) return fail();
+  // Span: 3×u64 ids + empty name + 2×u64 stamps + attr count = 48 bytes.
+  if (!in.get_count(n, 48)) return fail();
   snap.spans.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     SpanRecord s;
@@ -189,10 +196,9 @@ Result<NodeSnapshot> deserialize_node_snapshot(ByteView wire) {
     if (!in.get_u64(s.trace_id) || !in.get_u64(s.span_id) ||
         !in.get_u64(s.parent_id) || !in.get_str(s.name) ||
         !in.get_u64(s.start_cycles) || !in.get_u64(s.end_cycles) ||
-        !in.get_u32(attrs)) {
+        !in.get_count(attrs, 8)) {  // 2 empty strings = 8B
       return fail();
     }
-    if (attrs > in.remaining() / 8) return fail();  // 2 empty strings = 8B
     s.attributes.reserve(attrs);
     for (std::uint32_t a = 0; a < attrs; ++a) {
       std::string key;
@@ -203,9 +209,8 @@ Result<NodeSnapshot> deserialize_node_snapshot(ByteView wire) {
     snap.spans.push_back(std::move(s));
   }
 
-  if (!in.get_u32(n)) return fail();
-  // Minimum flight event: 2×u64 + 2 empty strings = 24 bytes.
-  if (n > in.remaining() / 24) return fail();
+  // Flight event: 2×u64 + 2 empty strings = 24 bytes.
+  if (!in.get_count(n, 24)) return fail();
   snap.flight.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     FlightEvent ev;
@@ -237,7 +242,7 @@ std::string ClusterSnapshot::to_obs_json() const {
     first = false;
     out += "{\"node\":";
     append_json_string(out, node.node);
-    out += ",\"obs\":" + snapshot_to_json(node.metrics) + '}';
+    out += ",\"obs\":" + metrics_json(node.metrics) + '}';
   }
   out += "]}";
   return out;

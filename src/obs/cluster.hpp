@@ -8,12 +8,17 @@
 // driver collects NodeSnapshots over the fabric (they serialize with
 // the common byte codec), merges them sorted by node name, and exports:
 //
-//   to_obs_json()   — "securecloud.obs.v2":   [{node, metrics...}, ...]
+//   to_obs_json()   — "securecloud.obs.v2":   [{node, obs:{counters,
+//                     gauges, histograms}}, ...] with sorted keys
 //   to_trace_json() — "securecloud.trace.v2": all spans node-labelled,
 //                     sorted by (start_cycles, span_id) — a total order,
 //                     so the merged trace is bit-identical for a fixed
 //                     seed regardless of collection interleaving.
 //   to_flight_json()— "securecloud.flight.v2": per-node flight rings.
+//
+// These are the only JSON exporters. A lone Registry, Tracer or
+// FlightRecorder is exported as a cluster of one: build a NodeSnapshot
+// from it and call merge_snapshots({...}).
 //
 // critical_path() walks the merged span DAG backwards from a root
 // span's end (Jaeger-style): at every instant the chain charges the
@@ -39,11 +44,13 @@
 namespace securecloud::obs {
 
 /// Point-in-time copy of one node's observability state.
+/// Every member has a default, so a lone registry, tracer or flight
+/// ring fills just its own field: {.node = "solo", .spans = ...}.
 struct NodeSnapshot {
   std::string node;
-  Snapshot metrics;
-  std::vector<SpanRecord> spans;        // tracer finish order
-  std::vector<FlightEvent> flight;      // ring order, oldest first
+  Snapshot metrics{};
+  std::vector<SpanRecord> spans{};      // tracer finish order
+  std::vector<FlightEvent> flight{};    // ring order, oldest first
   std::uint64_t flight_total = 0;       // includes evicted events
 };
 
@@ -69,6 +76,33 @@ struct NodeObs {
 /// Byte codec so snapshots can travel as fabric payloads.
 Bytes serialize_node_snapshot(const NodeSnapshot& snap);
 Result<NodeSnapshot> deserialize_node_snapshot(ByteView wire);
+
+/// Metric-map codec shared by the node-snapshot and telemetry-frame
+/// wire formats: u32 n · n × (str name, u64 value). V is std::uint64_t
+/// (counters) or std::int64_t (gauges, carried as their bit pattern).
+/// Each entry takes at least 12 wire bytes, so the count is bounded by
+/// the wire left before anything is decoded.
+template <typename V>
+void put_metric_map(Bytes& out, const std::map<std::string, V>& metrics) {
+  put_u32(out, static_cast<std::uint32_t>(metrics.size()));
+  for (const auto& [name, value] : metrics) {
+    put_str(out, name);
+    put_u64(out, static_cast<std::uint64_t>(value));
+  }
+}
+
+template <typename V>
+bool get_metric_map(ByteReader& in, std::map<std::string, V>& metrics) {
+  std::uint32_t n = 0;
+  if (!in.get_count(n, 12)) return false;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    std::string name;
+    std::uint64_t raw = 0;
+    if (!in.get_str(name) || !in.get_u64(raw)) return false;
+    metrics.emplace(std::move(name), static_cast<V>(raw));
+  }
+  return true;
+}
 
 /// One delivered fabric message, recorded by net::Fabric when its
 /// delivery log is enabled. Node ids match fabric NodeIds; cycle stamps

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/registry.hpp"
-
 namespace securecloud::obs {
 
 void FlightRecorder::record(std::string category, std::string detail) {
@@ -18,7 +16,7 @@ void FlightRecorder::record(std::string category, std::string detail) {
   local->ring.append(ev);
 }
 
-std::vector<FlightEvent> FlightRecorder::merged_events() const {
+std::vector<FlightEvent> FlightRecorder::events() const {
   std::vector<FlightEvent> out;
   {
     lockfree::EpochDomain::Guard guard(domain_);
@@ -41,31 +39,8 @@ std::vector<FlightEvent> FlightRecorder::merged_events() const {
   return out;
 }
 
-std::vector<FlightEvent> FlightRecorder::events() const { return merged_events(); }
-
 std::uint64_t FlightRecorder::total_recorded() const {
   return seq_.load(std::memory_order_relaxed);
-}
-
-std::string FlightRecorder::to_json() const {
-  const std::vector<FlightEvent> evs = merged_events();
-  const std::uint64_t total = seq_.load(std::memory_order_relaxed);
-  const std::uint64_t dropped = total - evs.size();
-  std::string out = "{\"schema\":\"securecloud.flight.v1\",\"dropped\":" +
-                    std::to_string(dropped) + ",\"events\":[";
-  bool first = true;
-  for (const FlightEvent& ev : evs) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"seq\":" + std::to_string(ev.seq) +
-           ",\"at_cycles\":" + std::to_string(ev.at_cycles) + ",\"category\":";
-    append_json_string(out, ev.category);
-    out += ",\"detail\":";
-    append_json_string(out, ev.detail);
-    out += '}';
-  }
-  out += "]}";
-  return out;
 }
 
 void FlightRecorder::clear() {

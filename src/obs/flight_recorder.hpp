@@ -57,10 +57,6 @@ class FlightRecorder {
 
   std::size_t capacity() const { return capacity_; }
 
-  /// One-line JSON, schema "securecloud.flight.v1". `dropped` counts
-  /// events the ring has already evicted.
-  std::string to_json() const;
-
   /// Quiescent-only: no concurrent record() or export.
   void clear();
 
@@ -71,9 +67,6 @@ class FlightRecorder {
     lockfree::EventRing<FlightEvent> ring;
     ThreadRing* next = nullptr;
   };
-
-  /// Merged, seq-sorted copy of the globally-retained suffix.
-  std::vector<FlightEvent> merged_events() const;
 
   const SimClock* clock_;
   std::size_t capacity_;

@@ -1,7 +1,5 @@
 #include "obs/registry.hpp"
 
-#include <sstream>
-
 namespace securecloud::obs {
 
 // Metric names are generated in-tree from [a-z0-9_.] identifiers; escape
@@ -48,73 +46,6 @@ void Registry::reset() {
   counters_.for_each([](const std::string&, Counter* c) { c->reset(); });
   gauges_.for_each([](const std::string&, Gauge* g) { g->reset(); });
   histograms_.for_each([](const std::string&, Histogram* h) { h->reset(); });
-}
-
-std::string snapshot_to_json(const Snapshot& snap) {
-  std::string out = "{\"schema\":\"securecloud.obs.v1\",\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : snap.counters) {
-    if (!first) out += ',';
-    first = false;
-    append_json_string(out, name);
-    out += ':';
-    out += std::to_string(value);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : snap.gauges) {
-    if (!first) out += ',';
-    first = false;
-    append_json_string(out, name);
-    out += ':';
-    out += std::to_string(value);
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : snap.histograms) {
-    if (!first) out += ',';
-    first = false;
-    append_json_string(out, name);
-    out += ":{\"count\":" + std::to_string(h.count) +
-           ",\"sum\":" + std::to_string(h.sum) + ",\"buckets\":[";
-    bool first_bucket = true;
-    for (const auto& [le, n] : h.buckets) {
-      if (!first_bucket) out += ',';
-      first_bucket = false;
-      out += "[" + std::to_string(le) + "," + std::to_string(n) + "]";
-    }
-    out += "]}";
-  }
-  out += "}}";
-  return out;
-}
-
-std::string snapshot_to_prometheus(const Snapshot& snap) {
-  std::ostringstream out;
-  for (const auto& [name, value] : snap.counters) {
-    out << "# TYPE " << name << " counter\n" << name << " " << value << "\n";
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    out << "# TYPE " << name << " gauge\n" << name << " " << value << "\n";
-  }
-  for (const auto& [name, h] : snap.histograms) {
-    out << "# TYPE " << name << " histogram\n";
-    std::uint64_t cumulative = 0;
-    for (const auto& [le, n] : h.buckets) {
-      cumulative += n;
-      out << name << "_bucket{le=\"" << le << "\"} " << cumulative << "\n";
-    }
-    out << name << "_bucket{le=\"+Inf\"} " << h.count << "\n";
-    out << name << "_sum " << h.sum << "\n";
-    out << name << "_count " << h.count << "\n";
-  }
-  return out.str();
-}
-
-std::string Registry::to_json() const { return snapshot_to_json(snapshot()); }
-
-std::string Registry::to_prometheus() const {
-  return snapshot_to_prometheus(snapshot());
 }
 
 }  // namespace securecloud::obs

@@ -12,17 +12,12 @@
 // time (`set_obs`) and then update through bare pointers — the hot path
 // never locks or hashes a name.
 //
-// Export (snapshot()/to_json()/to_prometheus()) walks the RCU snapshots
-// only: it never takes a writer mutex, so serializing a large registry
-// cannot block concurrent interning or counter bumps (and vice versa).
-//
-// Export:
-//   to_json()       — one line, schema "securecloud.obs.v1", keys sorted
-//                     lexicographically. Two registries with the same
-//                     metric values serialize to byte-identical strings,
-//                     which is what the determinism tests compare.
-//   to_prometheus() — text exposition format (# TYPE lines, cumulative
-//                     histogram buckets with le labels).
+// Export (snapshot()) walks the RCU snapshots only: it never takes a
+// writer mutex, so exporting a large registry cannot block concurrent
+// interning or counter bumps (and vice versa). Snapshots compare equal
+// exactly when the metric values match; JSON export goes through
+// ClusterSnapshot (obs/cluster.hpp) — a lone registry is a cluster of
+// one node.
 //
 // Metric naming convention (enforced by review, not code):
 //   <subsystem>_<metric>[_total]   e.g. sgx_epc_faults_total
@@ -69,13 +64,6 @@ class Registry {
 
   /// Never blocks registration or bumps (reads RCU index snapshots only).
   Snapshot snapshot() const;
-
-  /// One-line JSON, schema "securecloud.obs.v1", sorted keys. Stable:
-  /// equal snapshots serialize to byte-identical strings.
-  std::string to_json() const;
-
-  /// Prometheus text exposition format.
-  std::string to_prometheus() const;
 
   /// Zeroes every registered instrument (handles stay valid).
   void reset();
@@ -133,12 +121,6 @@ class Registry {
   Kind<Gauge> gauges_;
   Kind<Histogram> histograms_;
 };
-
-/// Serializes a snapshot without holding any registry lock (what
-/// Registry::to_json produces; exposed so benches can stamp extra fields
-/// around it).
-std::string snapshot_to_json(const Snapshot& snap);
-std::string snapshot_to_prometheus(const Snapshot& snap);
 
 /// Appends `s` as a quoted, escaped JSON string. Shared by every obs
 /// exporter so all schemas escape identically.

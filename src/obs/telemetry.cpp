@@ -10,17 +10,6 @@ namespace {
 
 constexpr std::uint32_t kTelemetryMagic = 0x544c4d31;  // "TLM1"
 
-void put_i64(Bytes& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-bool get_i64(ByteReader& in, std::int64_t& v) {
-  std::uint64_t raw = 0;
-  if (!in.get_u64(raw)) return false;
-  v = static_cast<std::int64_t>(raw);
-  return true;
-}
-
 std::string pad_left(const std::string& s, std::size_t width) {
   return s.size() >= width ? s : std::string(width - s.size(), ' ') + s;
 }
@@ -37,16 +26,8 @@ Bytes serialize_telemetry_frame(const TelemetryFrame& frame) {
   put_str(out, frame.node);
   put_u64(out, frame.seq);
   put_u64(out, frame.at_cycles);
-  put_u32(out, static_cast<std::uint32_t>(frame.counters.size()));
-  for (const auto& [name, delta] : frame.counters) {
-    put_str(out, name);
-    put_u64(out, delta);
-  }
-  put_u32(out, static_cast<std::uint32_t>(frame.gauges.size()));
-  for (const auto& [name, value] : frame.gauges) {
-    put_str(out, name);
-    put_i64(out, value);
-  }
+  put_metric_map(out, frame.counters);
+  put_metric_map(out, frame.gauges);
   return out;
 }
 
@@ -60,29 +41,10 @@ Result<TelemetryFrame> deserialize_telemetry_frame(ByteView wire) {
 
   TelemetryFrame frame;
   if (!in.get_str(frame.node) || !in.get_u64(frame.seq) ||
-      !in.get_u64(frame.at_cycles)) {
+      !in.get_u64(frame.at_cycles) || !get_metric_map(in, frame.counters) ||
+      !get_metric_map(in, frame.gauges) || in.remaining() != 0) {
     return fail();
   }
-  std::uint32_t n = 0;
-  if (!in.get_u32(n)) return fail();
-  // Each entry is at least 12 wire bytes (empty name + u64); a claimed
-  // count beyond that is provably corrupt — reject before allocating.
-  if (n > in.remaining() / 12) return fail();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string name;
-    std::uint64_t delta = 0;
-    if (!in.get_str(name) || !in.get_u64(delta)) return fail();
-    frame.counters.emplace(std::move(name), delta);
-  }
-  if (!in.get_u32(n)) return fail();
-  if (n > in.remaining() / 12) return fail();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string name;
-    std::int64_t value = 0;
-    if (!in.get_str(name) || !get_i64(in, value)) return fail();
-    frame.gauges.emplace(std::move(name), value);
-  }
-  if (in.remaining() != 0) return fail();
   return frame;
 }
 

@@ -18,8 +18,8 @@
 //   u32 n · n × (str name, i64 value)     gauges whose value changed
 //                                         (absolute — gauges don't sum)
 // Delta encoding keeps steady-state frames tiny: an idle node ships a
-// header and two zero counts. The deserializer is hardened the same
-// way as the node-snapshot codec: every length is bounds-checked
+// header and two zero counts. Both maps use the node-snapshot codec's
+// put/get_metric_map (cluster.hpp): every length is bounds-checked
 // against the remaining wire before allocation, and any truncated or
 // corrupt input yields a typed protocol error, never UB.
 //

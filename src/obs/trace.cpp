@@ -1,7 +1,5 @@
 #include "obs/trace.hpp"
 
-#include "obs/registry.hpp"
-
 namespace securecloud::obs {
 
 namespace {
@@ -65,33 +63,6 @@ void Tracer::record(SpanRecord rec) {
 void Tracer::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   finished_.clear();
-}
-
-std::string Tracer::to_json() const {
-  const std::vector<SpanRecord> spans = finished();
-  std::string out = "{\"schema\":\"securecloud.trace.v1\",\"spans\":[";
-  bool first = true;
-  for (const SpanRecord& s : spans) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"trace\":" + std::to_string(s.trace_id) +
-           ",\"id\":" + std::to_string(s.span_id) +
-           ",\"parent\":" + std::to_string(s.parent_id) + ",\"name\":";
-    append_json_string(out, s.name);
-    out += ",\"start_cycles\":" + std::to_string(s.start_cycles) +
-           ",\"end_cycles\":" + std::to_string(s.end_cycles) + ",\"attrs\":{";
-    bool first_attr = true;
-    for (const auto& [key, value] : s.attributes) {
-      if (!first_attr) out += ',';
-      first_attr = false;
-      append_json_string(out, key);
-      out += ':';
-      append_json_string(out, value);
-    }
-    out += "}}";
-  }
-  out += "]}";
-  return out;
 }
 
 Span::Span(Tracer* tracer, std::string name) : tracer_(tracer) {

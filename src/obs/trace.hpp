@@ -102,9 +102,6 @@ class Tracer {
     return active_.load(std::memory_order_relaxed);
   }
 
-  /// One-line JSON, schema "securecloud.trace.v1".
-  std::string to_json() const;
-
   void clear();
 
  private:

@@ -59,7 +59,7 @@ Result<FsProtection> FsProtection::deserialize(ByteView wire) {
     FileProtection fp;
     std::uint32_t chunks = 0;
     if (!r.get_str(path) || !r.get_u64(fp.file_size) || !r.get_u32(fp.chunk_size) ||
-        !r.get_blob(fp.file_key) || !r.get_u32(chunks)) {
+        !r.get_blob(fp.file_key) || !r.get_count(chunks, 24)) {  // u64 + 16B tag
       return Error::protocol("truncated FSPF entry");
     }
     if (fp.chunk_size == 0) return Error::protocol("zero chunk size");

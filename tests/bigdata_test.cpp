@@ -456,6 +456,14 @@ TEST(MapReduce, TamperedInputRecordAbortsJob) {
   EXPECT_EQ(result.error().code, ErrorCode::kIntegrityViolation);
 }
 
+// A hostile pair count is a typed error, never an allocation sized
+// from the wire.
+TEST(MapReduce, PairBlockRejectsHugeCount) {
+  const auto pairs = deserialize_pairs(Bytes{0xff, 0xff, 0xff, 0xff});
+  ASSERT_FALSE(pairs.ok());
+  EXPECT_EQ(pairs.error().code, ErrorCode::kProtocolError);
+}
+
 TEST(MapReduce, EncryptedPartitionsLeakNoPlaintext) {
   MrFixture fx;
   const auto partition =

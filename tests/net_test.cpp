@@ -313,7 +313,7 @@ TEST(Fabric, FaultScheduleIsReproducible) {
     log << "|stats:" << fabric.stats().messages_delivered << ','
         << fabric.stats().frames_dropped << ',' << fabric.stats().frames_duplicated
         << ',' << fabric.stats().frames_reordered;
-    return std::make_pair(log.str(), registry.to_json());
+    return std::make_pair(log.str(), registry.snapshot());
   };
 
   const auto first = run(0xFEED);
@@ -881,7 +881,7 @@ bigdata::SecureMapReduce::ReduceFn sum_reduce() {
 
 struct DistRun {
   bigdata::JobResult result;
-  std::string obs_json;
+  obs::Snapshot metrics;
   std::uint64_t fabric_now_ns = 0;
 };
 
@@ -929,7 +929,7 @@ DistRun run_distributed_job(std::uint64_t seed, std::size_t threads,
   EXPECT_TRUE(result.ok()) << (result.ok() ? "" : result.error().message);
   DistRun out;
   if (result.ok()) out.result = std::move(*result);
-  out.obs_json = registry.to_json();
+  out.metrics = registry.snapshot();
   out.fabric_now_ns = fabric.now_ns();
   return out;
 }
@@ -1047,9 +1047,9 @@ TEST(DistributedMapReduce, DeterministicUnderFaultsAtAnyThreadCount) {
             pooled.result.stats.simulated_cycles);
 
   // The whole observability surface — net_*, net_flow_*, transfer_*,
-  // net_session_*, dist_mapreduce_* — byte-for-byte.
-  EXPECT_EQ(serial.obs_json, pooled.obs_json);
-  EXPECT_EQ(serial.obs_json, repeat.obs_json);
+  // net_session_*, dist_mapreduce_* — value for value.
+  EXPECT_EQ(serial.metrics, pooled.metrics);
+  EXPECT_EQ(serial.metrics, repeat.metrics);
   EXPECT_EQ(serial.fabric_now_ns, pooled.fabric_now_ns);
 
   // Sanity: chaos actually happened in the faulted runs (they took

@@ -144,29 +144,31 @@ TEST(Registry, SnapshotJsonIsStableAndSorted) {
   b.counter("zz_total").inc(3);
 
   EXPECT_EQ(a.snapshot(), b.snapshot());
-  EXPECT_EQ(a.to_json(), b.to_json());
-  EXPECT_NE(a.to_json().find("\"schema\":\"securecloud.obs.v1\""), std::string::npos);
+  // A lone registry exports as a cluster of one.
+  const std::string json =
+      merge_snapshots({{.node = "solo", .metrics = a.snapshot()}}).to_obs_json();
+  EXPECT_EQ(json,
+            merge_snapshots({{.node = "solo", .metrics = b.snapshot()}}).to_obs_json());
+  EXPECT_NE(json.find("\"schema\":\"securecloud.obs.v2\""), std::string::npos);
   // Sorted keys: aa before zz.
-  EXPECT_LT(a.to_json().find("aa_total"), a.to_json().find("zz_total"));
+  EXPECT_LT(json.find("aa_total"), json.find("zz_total"));
 }
 
-TEST(Registry, PrometheusExposition) {
+TEST(Registry, ClusterOfOneExportsEveryMetricKind) {
   Registry registry;
   registry.counter("req_total").inc(7);
   registry.gauge("depth").set(-2);
   registry.histogram("lat").observe(3);
   registry.histogram("lat").observe(100);
 
-  const std::string text = registry.to_prometheus();
-  EXPECT_NE(text.find("# TYPE req_total counter"), std::string::npos);
-  EXPECT_NE(text.find("req_total 7"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE depth gauge"), std::string::npos);
-  EXPECT_NE(text.find("depth -2"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE lat histogram"), std::string::npos);
-  // Cumulative buckets end at +Inf with the total count.
-  EXPECT_NE(text.find("lat_bucket{le=\"+Inf\"} 2"), std::string::npos);
-  EXPECT_NE(text.find("lat_sum 103"), std::string::npos);
-  EXPECT_NE(text.find("lat_count 2"), std::string::npos);
+  // One schema key for the document; the node's metrics object has
+  // none. Histogram buckets are (inclusive upper bound, count) pairs.
+  EXPECT_EQ(
+      merge_snapshots({{.node = "solo", .metrics = registry.snapshot()}}).to_obs_json(),
+      "{\"schema\":\"securecloud.obs.v2\",\"nodes\":[{\"node\":\"solo\",\"obs\":{"
+      "\"counters\":{\"req_total\":7},\"gauges\":{\"depth\":-2},"
+      "\"histograms\":{\"lat\":{\"count\":2,\"sum\":103,"
+      "\"buckets\":[[3,1],[127,1]]}}}}]}");
 }
 
 TEST(Registry, ResetZeroesButKeepsHandles) {
@@ -191,7 +193,7 @@ TEST(Registry, ResetZeroesButKeepsHandles) {
 // coherent prefix of the registration stream.
 TEST(Registry, ExportNeverBlocksInterningOrBumps) {
   Registry registry;
-  // Pre-size the document so each to_json() has real formatting work.
+  // Pre-size the document so each export has real formatting work.
   for (int i = 0; i < 256; ++i) {
     registry.counter("warm_" + std::to_string(i) + "_total").inc();
   }
@@ -202,8 +204,10 @@ TEST(Registry, ExportNeverBlocksInterningOrBumps) {
   for (int e = 0; e < 2; ++e) {
     exporters.emplace_back([&] {
       while (!stop.load(std::memory_order_acquire)) {
-        const std::string json = registry.to_json();
-        ASSERT_NE(json.find("\"schema\":\"securecloud.obs.v1\""),
+        const std::string json =
+            merge_snapshots({{.node = "solo", .metrics = registry.snapshot()}})
+                .to_obs_json();
+        ASSERT_NE(json.find("\"schema\":\"securecloud.obs.v2\""),
                   std::string::npos);
         exports.fetch_add(1, std::memory_order_relaxed);
       }
@@ -271,8 +275,9 @@ TEST(Trace, SpansNestViaThreadLocalStack) {
   ASSERT_EQ(spans[2].attributes.size(), 1u);
   EXPECT_EQ(spans[2].attributes[0].first, "partitions");
 
-  const std::string json = tracer.to_json();
-  EXPECT_NE(json.find("\"schema\":\"securecloud.trace.v1\""), std::string::npos);
+  const std::string json =
+      merge_snapshots({{.node = "solo", .spans = tracer.finished()}}).to_trace_json();
+  EXPECT_NE(json.find("\"schema\":\"securecloud.trace.v2\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"map\""), std::string::npos);
 
   tracer.clear();
@@ -434,7 +439,8 @@ std::string run_workload(std::size_t threads) {
     EXPECT_TRUE(store.get("k0").ok());
   }
 
-  return registry.to_json();
+  return merge_snapshots({{.node = "workload", .metrics = registry.snapshot()}})
+      .to_obs_json();
 }
 
 TEST(ObsIntegration, FiveSubsystemsReportAndCountersAreThreadCountInvariant) {
@@ -618,8 +624,12 @@ TEST(FlightRecorder, BoundedRingKeepsNewestAndCountsDrops) {
   EXPECT_EQ(events.front().seq, 2u);
   EXPECT_EQ(events.back().at_cycles, 60u);
 
-  const std::string json = rec.to_json();
-  EXPECT_NE(json.find("\"schema\":\"securecloud.flight.v1\""), std::string::npos);
+  const std::string json =
+      merge_snapshots({{.node = "solo",
+                        .flight = rec.events(),
+                        .flight_total = rec.total_recorded()}})
+          .to_flight_json();
+  EXPECT_NE(json.find("\"schema\":\"securecloud.flight.v2\""), std::string::npos);
   EXPECT_NE(json.find("\"dropped\":2"), std::string::npos);
   EXPECT_EQ(json.find("event-0"), std::string::npos);
 

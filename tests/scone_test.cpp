@@ -510,6 +510,22 @@ TEST(FsProtection, DeserializeRejectsGarbage) {
   EXPECT_FALSE(FsProtection::deserialize(wire).ok());
 }
 
+// A hostile chunk count is a typed error, never an allocation sized
+// from untrusted storage.
+TEST(FsProtection, DeserializeRejectsHugeChunkCount) {
+  Bytes wire;
+  put_str(wire, "SCFSPF1");
+  put_u32(wire, 1);  // one file entry
+  put_str(wire, "/x");
+  put_u64(wire, 0);              // file_size
+  put_u32(wire, 64);             // chunk_size
+  put_blob(wire, Bytes(16, 0));  // file_key
+  put_u32(wire, 0xffffffff);     // chunks
+  const auto parsed = FsProtection::deserialize(wire);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error().code, ErrorCode::kProtocolError);
+}
+
 TEST(FsProtection, SealedFspfRoundTripAndWrongKey) {
   UntrustedFileSystem host;
   DeterministicEntropy entropy(9);
