@@ -10,7 +10,9 @@
 # suite, the obs registry/shard hammer + the flight-recorder
 # concurrent-append hammer and cross-thread span handover
 # (FlightRecorder.*/Trace.* in test_obs), the cluster fabric under
-# concurrent enqueue (FabricConcurrency.*), the SCBR pooled batch
+# concurrent enqueue (FabricConcurrency.*), distributed MapReduce at 8
+# pool threads (one AesGcm per map task shared by the pool's record
+# opens), the SCBR pooled batch
 # paths (ScbrRouter::subscribe_batch in test_scbr, the fabric overlay's
 # chaos publish_batch in test_fabric_overlay), and the SecureStreams
 # backpressure hammer (fast producer, slow sink, pool workers on the
@@ -39,7 +41,8 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 "${build_dir}/tests/test_lockfree"
 "${build_dir}/tests/test_fault_injection"
 "${build_dir}/tests/test_obs"
-"${build_dir}/tests/test_net" --gtest_filter='FabricConcurrency.*:Fabric.*'
+"${build_dir}/tests/test_net" \
+  --gtest_filter='FabricConcurrency.*:Fabric.*:DistributedMapReduce.DeterministicUnderFaultsAtAnyThreadCount'
 "${build_dir}/tests/test_fabric_overlay" --gtest_filter='*Chaos*'
 "${build_dir}/tests/test_scbr" --gtest_filter='*Batch*'
 "${build_dir}/tests/test_streams" --gtest_filter='StreamsHammer.*:*Chaos*'

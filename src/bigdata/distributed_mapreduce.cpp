@@ -563,8 +563,10 @@ void DistributedMapReduce::worker_handle_map_task(Worker& worker, ByteView body,
   // workers see it through the shared driver (simulating code shipped in
   // the measured enclave image).
   const MapFn& map_fn = *current_map_fn_;
+  // One key schedule per task, shared by the pool threads: AesGcm's const
+  // methods touch no mutable state.
+  const crypto::AesGcm gcm(worker.job_key);
   common::run_indexed(pool_, records.size(), [&](std::size_t i) {
-    crypto::AesGcm gcm(worker.job_key);
     auto plain = gcm.open_combined(to_bytes("record"), records[i]);
     if (!plain.ok()) {
       failed[i] = 1;

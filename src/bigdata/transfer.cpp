@@ -34,12 +34,12 @@ std::vector<Bytes> SecureTransferSender::send(ByteView payload) {
     const std::uint64_t seq = base_seq + i;
 
     Bytes wire;
+    wire.reserve(8 + 1 + crypto::kGcmNonceSize + take + crypto::kGcmTagSize);  // seq, last
     put_u64(wire, seq);
     put_u8(wire, last ? 1 : 0);
-    append(wire, gcm_.seal_combined(
-                     crypto::nonce_from_counter(seq, stream_id_),
-                     chunk_aad(stream_id_, seq, last),
-                     ByteView(compressed.data() + offset, take)));
+    gcm_.seal_combined(crypto::nonce_from_counter(seq, stream_id_),
+                       chunk_aad(stream_id_, seq, last),
+                       ByteView(compressed.data() + offset, take), wire);
     chunks[i] = std::move(wire);
   });
   std::size_t batch_wire_bytes = 0;

@@ -1,5 +1,7 @@
 #include "crypto/ctr.hpp"
 
+#include "crypto/aes_ni.hpp"
+
 namespace securecloud::crypto {
 
 namespace {
@@ -11,23 +13,31 @@ inline void increment_counter(std::uint8_t block[16]) {
 }
 }  // namespace
 
-void aes_ctr_xor(const Aes& aes, const std::uint8_t iv16[16], MutableByteView data) {
+void aes_ctr_xor(const Aes& aes, const std::uint8_t iv16[16], ByteView in,
+                 MutableByteView out) {
+  if (aes.uses_aes_ni()) {
+    detail::aesni_ctr_xor(aes.round_keys(), aes.rounds(), iv16, in.data(), out.data(),
+                          in.size());
+    return;
+  }
   std::uint8_t counter[16];
   std::memcpy(counter, iv16, 16);
   std::uint8_t keystream[16];
   std::size_t offset = 0;
-  while (offset < data.size()) {
+  while (offset < in.size()) {
     aes.encrypt_block(counter, keystream);
-    const std::size_t take = std::min<std::size_t>(16, data.size() - offset);
-    for (std::size_t i = 0; i < take; ++i) data[offset + i] ^= keystream[i];
+    const std::size_t take = std::min<std::size_t>(16, in.size() - offset);
+    for (std::size_t i = 0; i < take; ++i) {
+      out[offset + i] = static_cast<std::uint8_t>(in[offset + i] ^ keystream[i]);
+    }
     offset += take;
     increment_counter(counter);
   }
 }
 
 Bytes aes_ctr(const Aes& aes, const std::uint8_t iv16[16], ByteView data) {
-  Bytes out(data.begin(), data.end());
-  aes_ctr_xor(aes, iv16, out);
+  Bytes out(data.size());
+  aes_ctr_xor(aes, iv16, data, out);
   return out;
 }
 

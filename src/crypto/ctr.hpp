@@ -10,10 +10,17 @@
 
 namespace securecloud::crypto {
 
-/// XORs `data` in place with the AES-CTR keystream for (key, iv16).
-/// The 16-byte IV is the full initial counter block; the final 32 bits are
-/// incremented big-endian per block (GCM-compatible counter layout).
-void aes_ctr_xor(const Aes& aes, const std::uint8_t iv16[16], MutableByteView data);
+/// out = in XOR the AES-CTR keystream for (key, iv16). The 16-byte IV is
+/// the full initial counter block; the final 32 bits are incremented
+/// big-endian per block, wrapping mod 2^32 (GCM's inc32). Precondition:
+/// out.size() == in.size(); they may be the same buffer.
+void aes_ctr_xor(const Aes& aes, const std::uint8_t iv16[16], ByteView in,
+                 MutableByteView out);
+
+/// XORs `data` in place with the keystream.
+inline void aes_ctr_xor(const Aes& aes, const std::uint8_t iv16[16], MutableByteView data) {
+  aes_ctr_xor(aes, iv16, data, data);
+}
 
 /// Convenience returning a transformed copy.
 Bytes aes_ctr(const Aes& aes, const std::uint8_t iv16[16], ByteView data);

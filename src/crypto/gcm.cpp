@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "crypto/aes_ni.hpp"
 #include "crypto/ctr.hpp"
 #include "crypto/hmac.hpp"  // constant_time_equal
 
@@ -43,21 +44,36 @@ const std::array<std::uint64_t, 256>& reduction_table() {
   return table;
 }
 
+// J0 = nonce || 0x00000001 for 96-bit nonces; encryption counters start at
+// J0 + 1.
+void initial_counters(const GcmNonce& nonce, std::uint8_t j0[16], std::uint8_t ctr[16]) {
+  std::memcpy(j0, nonce.data(), kGcmNonceSize);
+  store_be32(MutableByteView(j0 + 12, 4), 1);
+  std::memcpy(ctr, j0, 16);
+  ctr[15] = 2;
+}
+
 }  // namespace
 
-AesGcm::AesGcm(ByteView key) : aes_(key) {
+AesGcm::AesGcm(ByteView key) : AesGcm(Aes(key)) {}
+
+AesGcm::AesGcm(ByteView key, detail::Portable portable) : AesGcm(Aes(key, portable)) {}
+
+AesGcm::AesGcm(const Aes& aes) : aes_(aes) {
   std::uint8_t zero[16] = {};
   std::uint8_t h[16];
   aes_.encrypt_block(zero, h);
-  h_.hi = load_be64(ByteView(h, 8));
-  h_.lo = load_be64(ByteView(h + 8, 8));
+  if (aes_.uses_aes_ni()) {
+    detail::pclmul_ghash_powers(h, h_powers_.data());
+    return;
+  }
 
   // h_table_[b] = (Σ_j b_j·x^j) · H for the 8 bits of b (MSB = x^0),
   // filled in by linearity from the 8 single-bit products H·x^j.
   Gf128 basis[8];
-  basis[0] = h_;
+  basis[0] = Gf128{load_be64(ByteView(h, 8)), load_be64(ByteView(h + 8, 8))};
   for (int j = 1; j < 8; ++j) basis[j] = gf_shift_reduce(basis[j - 1]);
-  h_table_[0] = Gf128{};
+  h_table_.resize(256);
   for (std::size_t b = 1; b < 256; ++b) {
     const int bit = std::countr_zero(b);  // lowest set bit = highest power
     const Gf128& rest = h_table_[b & (b - 1)];
@@ -87,7 +103,11 @@ AesGcm::Gf128 AesGcm::gf_mul_h(Gf128 x) const {
   return z;
 }
 
-AesGcm::Gf128 AesGcm::ghash(ByteView aad, ByteView ciphertext) const {
+void AesGcm::ghash(ByteView aad, ByteView ciphertext, std::uint8_t s[16]) const {
+  if (aes_.uses_aes_ni()) {
+    detail::pclmul_ghash(h_powers_.data(), aad, ciphertext, s);
+    return;
+  }
   Gf128 y;
 
   auto absorb = [&](ByteView data) {
@@ -110,72 +130,67 @@ AesGcm::Gf128 AesGcm::ghash(ByteView aad, ByteView ciphertext) const {
   y.hi ^= static_cast<std::uint64_t>(aad.size()) * 8;
   y.lo ^= static_cast<std::uint64_t>(ciphertext.size()) * 8;
   y = gf_mul_h(y);
-  return y;
+  store_be64(MutableByteView(s, 8), y.hi);
+  store_be64(MutableByteView(s + 8, 8), y.lo);
+}
+
+void AesGcm::tag_from_ghash(const std::uint8_t j0[16], const std::uint8_t s[16],
+                            std::uint8_t* tag) const {
+  std::uint8_t ekj0[16];
+  aes_.encrypt_block(j0, ekj0);
+  for (std::size_t i = 0; i < kGcmTagSize; ++i) {
+    tag[i] = static_cast<std::uint8_t>(ekj0[i] ^ s[i]);
+  }
+}
+
+void AesGcm::seal_into(const GcmNonce& nonce, ByteView aad, ByteView plaintext,
+                       std::uint8_t* ciphertext, std::uint8_t* tag) const {
+  std::uint8_t j0[16], ctr[16], s[16];
+  initial_counters(nonce, j0, ctr);
+  if (aes_.uses_aes_ni()) {
+    detail::aesni_gcm_encrypt(aes_.round_keys(), aes_.rounds(), h_powers_.data(), ctr, aad,
+                              plaintext.data(), ciphertext, plaintext.size(), s);
+  } else {
+    const MutableByteView ct(ciphertext, plaintext.size());
+    aes_ctr_xor(aes_, ctr, plaintext, ct);
+    ghash(aad, ct, s);
+  }
+  tag_from_ghash(j0, s, tag);
 }
 
 Bytes AesGcm::seal(const GcmNonce& nonce, ByteView aad, ByteView plaintext,
                    GcmTag& tag) const {
-  // J0 = nonce || 0x00000001 for 96-bit nonces.
-  std::uint8_t j0[16] = {};
-  std::memcpy(j0, nonce.data(), kGcmNonceSize);
-  j0[15] = 1;
-
-  // Encryption uses counters starting at J0 + 1.
-  std::uint8_t ctr[16];
-  std::memcpy(ctr, j0, 16);
-  ctr[15] = 2;
-  Bytes ciphertext = aes_ctr(aes_, ctr, plaintext);
-
-  const Gf128 s = ghash(aad, ciphertext);
-  std::uint8_t s_bytes[16];
-  store_be64(MutableByteView(s_bytes, 8), s.hi);
-  store_be64(MutableByteView(s_bytes + 8, 8), s.lo);
-
-  // Tag = AES_K(J0) XOR GHASH.
-  std::uint8_t ekj0[16];
-  aes_.encrypt_block(j0, ekj0);
-  for (std::size_t i = 0; i < kGcmTagSize; ++i) {
-    tag[i] = static_cast<std::uint8_t>(ekj0[i] ^ s_bytes[i]);
-  }
+  Bytes ciphertext(plaintext.size());
+  seal_into(nonce, aad, plaintext, ciphertext.data(), tag.data());
   return ciphertext;
 }
 
 Result<Bytes> AesGcm::open(const GcmNonce& nonce, ByteView aad, ByteView ciphertext,
                            const GcmTag& tag) const {
-  std::uint8_t j0[16] = {};
-  std::memcpy(j0, nonce.data(), kGcmNonceSize);
-  j0[15] = 1;
-
-  const Gf128 s = ghash(aad, ciphertext);
-  std::uint8_t s_bytes[16];
-  store_be64(MutableByteView(s_bytes, 8), s.hi);
-  store_be64(MutableByteView(s_bytes + 8, 8), s.lo);
-
-  std::uint8_t ekj0[16];
-  aes_.encrypt_block(j0, ekj0);
+  std::uint8_t j0[16], ctr[16], s[16];
+  initial_counters(nonce, j0, ctr);
+  ghash(aad, ciphertext, s);
   GcmTag expected;
-  for (std::size_t i = 0; i < kGcmTagSize; ++i) {
-    expected[i] = static_cast<std::uint8_t>(ekj0[i] ^ s_bytes[i]);
-  }
+  tag_from_ghash(j0, s, expected.data());
   if (!constant_time_equal(expected, tag)) {
     return Error::integrity("GCM tag verification failed");
   }
-
-  std::uint8_t ctr[16];
-  std::memcpy(ctr, j0, 16);
-  ctr[15] = 2;
   return aes_ctr(aes_, ctr, ciphertext);
 }
 
 Bytes AesGcm::seal_combined(const GcmNonce& nonce, ByteView aad, ByteView plaintext) const {
-  GcmTag tag;
-  Bytes ct = seal(nonce, aad, plaintext, tag);
   Bytes out;
-  out.reserve(kGcmNonceSize + ct.size() + kGcmTagSize);
-  out.insert(out.end(), nonce.begin(), nonce.end());
-  out.insert(out.end(), ct.begin(), ct.end());
-  out.insert(out.end(), tag.begin(), tag.end());
+  seal_combined(nonce, aad, plaintext, out);
   return out;
+}
+
+void AesGcm::seal_combined(const GcmNonce& nonce, ByteView aad, ByteView plaintext,
+                           Bytes& out) const {
+  const std::size_t at = out.size();
+  out.resize(at + kGcmNonceSize + plaintext.size() + kGcmTagSize);
+  std::uint8_t* p = out.data() + at;
+  std::memcpy(p, nonce.data(), kGcmNonceSize);
+  seal_into(nonce, aad, plaintext, p + kGcmNonceSize, p + kGcmNonceSize + plaintext.size());
 }
 
 Result<Bytes> AesGcm::open_combined(ByteView aad, ByteView combined) const {

@@ -297,7 +297,7 @@ Bytes seal_protection_file(const FsProtection& protection, ByteView key,
   entropy.fill(MutableByteView(nonce.data(), nonce.size()));
   Bytes out;
   put_str(out, "SCFSPF-ENC1");
-  append(out, gcm.seal_combined(nonce, to_bytes("fspf"), protection.serialize()));
+  gcm.seal_combined(nonce, to_bytes("fspf"), protection.serialize(), out);
   return out;
 }
 

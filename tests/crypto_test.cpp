@@ -338,6 +338,150 @@ INSTANTIATE_TEST_SUITE_P(Sizes, GcmRoundTrip,
                          ::testing::Values(0, 1, 15, 16, 17, 31, 32, 33, 63, 64,
                                            65, 255, 256, 1000, 4096));
 
+// ------------------------------------------------- AES-NI vs portable
+
+// The AES-NI/PCLMULQDQ path must reproduce the portable S-box and
+// Shoup-table code byte for byte: every golden, wire byte and sim-time
+// figure elsewhere rests on it. Probed here independently of the
+// library's own dispatch, so a dispatch that wrongly falls back fails
+// instead of comparing the portable path with itself.
+bool cpu_has_aes_ni_and_pclmul() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("aes") && __builtin_cpu_supports("pclmul") &&
+         __builtin_cpu_supports("sse4.1");
+#else
+  return false;
+#endif
+}
+
+Bytes random_bytes(Rng& rng, std::size_t n) {
+  Bytes b(n);
+  for (auto& x : b) x = static_cast<std::uint8_t>(rng.next());
+  return b;
+}
+
+class AesNiCrossCheck : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!cpu_has_aes_ni_and_pclmul()) GTEST_SKIP() << "CPU lacks AES-NI or PCLMULQDQ";
+  }
+};
+
+TEST_F(AesNiCrossCheck, BlockCipherMatchesPortable) {
+  Rng rng(1501);
+  for (int trial = 0; trial < 200; ++trial) {
+    const Bytes key = random_bytes(rng, trial % 2 == 0 ? 16 : 32);
+    const Aes hw(key);
+    const Aes portable(key, detail::kPortable);
+    ASSERT_TRUE(hw.uses_aes_ni());
+    ASSERT_FALSE(portable.uses_aes_ni());
+    const Bytes pt = random_bytes(rng, 16);
+    std::uint8_t a[16], b[16];
+    hw.encrypt_block(pt.data(), a);
+    portable.encrypt_block(pt.data(), b);
+    ASSERT_EQ(hex(ByteView(a, 16)), hex(ByteView(b, 16))) << "trial " << trial;
+  }
+}
+
+TEST_F(AesNiCrossCheck, GcmMatchesPortable) {
+  Rng rng(1502);
+  std::vector<std::size_t> lengths = {0, 1, 15, 16, 17, 127, 128, 129, 1100};
+  for (int i = 0; i < 12; ++i) lengths.push_back(rng.next() % 3000);
+
+  std::uint64_t counter = 0;
+  for (const std::size_t key_size : {16u, 32u}) {
+    const Bytes key = random_bytes(rng, key_size);
+    const AesGcm hw(key);
+    const AesGcm portable(key, detail::kPortable);
+    ASSERT_TRUE(hw.uses_aes_ni());
+    ASSERT_FALSE(portable.uses_aes_ni());
+    for (std::size_t aad_len = 0; aad_len <= 80; ++aad_len) {
+      for (const std::size_t len : lengths) {
+        SCOPED_TRACE("key " + std::to_string(key_size) + " aad " + std::to_string(aad_len) +
+                     " pt " + std::to_string(len));
+        const Bytes aad = random_bytes(rng, aad_len);
+        const Bytes pt = random_bytes(rng, len);
+        const GcmNonce nonce = nonce_from_counter(++counter, 0x5eed);
+
+        GcmTag hw_tag, portable_tag;
+        const Bytes hw_ct = hw.seal(nonce, aad, pt, hw_tag);
+        const Bytes portable_ct = portable.seal(nonce, aad, pt, portable_tag);
+        ASSERT_EQ(hw_ct, portable_ct);
+        ASSERT_EQ(hw_tag, portable_tag);
+        for (const AesGcm* gcm : {&hw, &portable}) {
+          auto back = gcm->open(nonce, aad, hw_ct, hw_tag);
+          ASSERT_TRUE(back.ok());
+          ASSERT_EQ(*back, pt);
+        }
+
+        const Bytes wire = hw.seal_combined(nonce, aad, pt);
+        ASSERT_EQ(wire, portable.seal_combined(nonce, aad, pt));
+        Bytes appended = to_bytes("hdr");
+        hw.seal_combined(nonce, aad, pt, appended);
+        ASSERT_EQ(Bytes(appended.begin() + 3, appended.end()), wire);
+
+        // A flipped bit anywhere past the nonce — ciphertext or tag — and
+        // a flipped AAD bit are rejected by both paths.
+        Bytes tampered = wire;
+        tampered[kGcmNonceSize + (counter * 7) % (len + kGcmTagSize)] ^= 0x20;
+        Bytes wrong_aad = aad;
+        if (!wrong_aad.empty()) wrong_aad[counter % aad_len] ^= 0x01;
+        for (const AesGcm* gcm : {&hw, &portable}) {
+          auto back = gcm->open_combined(aad, wire);
+          ASSERT_TRUE(back.ok());
+          ASSERT_EQ(*back, pt);
+          auto bad = gcm->open_combined(aad, tampered);
+          ASSERT_FALSE(bad.ok());
+          ASSERT_EQ(bad.error().code, ErrorCode::kIntegrityViolation);
+          if (!wrong_aad.empty()) {
+            ASSERT_FALSE(gcm->open_combined(wrong_aad, wire).ok());
+          }
+        }
+      }
+    }
+  }
+}
+
+// The counter is inc32: the last 32 bits wrap to zero without carrying
+// into the nonce. An IV ending ff ff ff f9 wraps inside the first 8-block
+// stripe; the expected keystream is built block by block from the
+// portable cipher.
+TEST_F(AesNiCrossCheck, CtrMatchesPortableAcrossInc32Wrap) {
+  Rng rng(1503);
+  for (const std::size_t key_size : {16u, 32u}) {
+    const Bytes key = random_bytes(rng, key_size);
+    const Aes hw(key);
+    const Aes portable(key, detail::kPortable);
+    std::uint8_t iv[16];
+    const Bytes prefix = random_bytes(rng, 12);
+    std::memcpy(iv, prefix.data(), 12);
+    store_be32(MutableByteView(iv + 12, 4), 0xfffffff9u);
+
+    for (const std::size_t len : {16u * 7, 16u * 8, 16u * 8 + 1, 16u * 20 + 5, 16u * 40}) {
+      const Bytes data = random_bytes(rng, len);
+      Bytes expected = data;
+      for (std::size_t block = 0; block * 16 < len; ++block) {
+        std::uint8_t ctr[16], ks[16];
+        std::memcpy(ctr, iv, 12);
+        store_be32(MutableByteView(ctr + 12, 4),
+                   static_cast<std::uint32_t>(0xfffffff9u + block));
+        portable.encrypt_block(ctr, ks);
+        for (std::size_t i = 0; i < 16 && block * 16 + i < len; ++i) {
+          expected[block * 16 + i] ^= ks[i];
+        }
+      }
+      Bytes hw_out = data;
+      aes_ctr_xor(hw, iv, hw_out);
+      Bytes portable_out = data;
+      aes_ctr_xor(portable, iv, portable_out);
+      EXPECT_EQ(hw_out, expected) << "len " << len;
+      EXPECT_EQ(portable_out, expected) << "len " << len;
+      EXPECT_EQ(aes_ctr(hw, iv, data), expected) << "len " << len;
+    }
+  }
+}
+
 // ---------------------------------------------------------------- X25519
 
 TEST(X25519, Rfc7748Vector1) {
