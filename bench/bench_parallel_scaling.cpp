@@ -3,7 +3,8 @@
 // Sweeps the work-stealing pool over 1/2/4/8 threads for:
 //   * mapreduce — SecureMapReduce word-count over encrypted partitions;
 //   * scbr_batch — ScbrRouter::publish_batch against a poset index;
-//   * bulk_crypto — chunked secure transfer (seal + open) end to end.
+//   * bulk_crypto — chunked secure transfer end to end: the pooled seal,
+//     then the one (serial) receive path.
 // Each run rebuilds the workload from identical seeds, so the simulated
 // cycle totals, job stats, and outputs must be bit-identical at every
 // thread count — the bench checks that ("identical") alongside the
@@ -261,17 +262,25 @@ RunResult run_bulk_crypto(std::size_t threads) {
   bigdata::SecureTransferSender sender(Bytes(16, 0x31), 1, 64 * 1024);
   sender.set_pool(p);
   sender.set_obs(&registry);
-  bigdata::SecureTransferReceiver receiver(Bytes(16, 0x31), 1);
+  SimClock clock;
+  bigdata::SecureTransferReceiver receiver(Bytes(16, 0x31), 1, clock, 8);
   receiver.set_obs(&registry);
 
   RunResult result;
   std::vector<Bytes> chunks;
-  Result<std::vector<Bytes>> back = Error::internal("unset");
+  std::vector<Bytes> back;
+  bool receive_ok = true;
   result.seconds = wall_seconds([&] {
     chunks = sender.send(payload);
-    back = receiver.receive_all(chunks, p);
+    for (const Bytes& chunk : chunks) {
+      auto got = receiver.receive(chunk);
+      receive_ok = receive_ok && got.ok();
+      if (got.ok()) {
+        for (Bytes& delivered : *got) back.push_back(std::move(delivered));
+      }
+    }
   });
-  if (!back.ok() || back->size() != 1 || (*back)[0] != payload) {
+  if (!receive_ok || back.size() != 1 || back[0] != payload) {
     result.digest = "error: round trip failed";
     return result;
   }

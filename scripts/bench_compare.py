@@ -1,24 +1,102 @@
 #!/usr/bin/env python3
-"""Compare two bench JSON outputs and fail on throughput regressions.
+"""Compare two bench JSON outputs.
 
-Usage: bench_compare.py BASE_FILE HEAD_FILE [--threshold 0.10]
+Usage: bench_compare.py BASE_FILE HEAD_FILE [--threshold 0.10] [--spec BENCHMARK.json]
 
-Each file is the raw stdout of one or more bench binaries (bench_net_fabric,
-bench_scbr_matching, ...). Lines that parse as JSON objects with a "bench"
-key are bench records; everything else (google-benchmark tables, trace
-documents) is ignored. Records are paired across the two files by their
-identity key — ("bench", plus "threads"/"senders"/"workers" when present) —
-and every shared `*_per_sec` field is compared.
+Two kinds of input are understood.
 
-Exit status is non-zero if any rate field in HEAD is more than `threshold`
-(default 10%) below its BASE value. Improvements and new/missing records
-are reported but never fail the comparison (benches come and go; losing a
-record entirely shows up in the summary for a human to notice).
+perfbench records: a BENCH_<pr>.json trail (scripts/bench_record.py), or the
+stdout of one or more `perfbench/run.py` runs, whose identity line
+({"workload", "trace", ...}) precedes the result line
+({"metrics": {name: {"value", "unit"}}}). Records are paired by (workload,
+trace), and every shared metric prints its HEAD/BASE ratio beside the
+BENCHMARK.json bound and direction of an end-to-end metric. A metric worse
+than its bound is marked, but this is a record trail, not a gate: the exit
+status is 0 whenever something was compared. Perf claims still need
+alternating parent/change pairs.
+
+Raw bench binaries: the stdout of bench_net_fabric, bench_scbr_matching, ...
+Lines that parse as JSON objects with a "bench" key are bench records;
+everything else (google-benchmark tables, trace documents) is ignored.
+Records are paired across the two files by their identity key — ("bench",
+plus "threads"/"senders"/"workers" when present) — and every shared
+`*_per_sec` field is compared. Exit status is non-zero if any rate field in
+HEAD is more than `threshold` (default 10%) below its BASE value.
+Improvements and new/missing records are reported but never fail the
+comparison (benches come and go; losing a record entirely shows up in the
+summary for a human to notice).
 """
 
 import argparse
 import json
+import os
 import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_perf_records(path):
+    """Returns {(workload, trace): result} from a BENCH_<pr>.json trail or
+    perfbench/run.py output; empty when `path` holds neither."""
+    with open(path) as f:
+        text = f.read()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError:
+        doc = None
+    if isinstance(doc, dict) and "runs" in doc:
+        return {(run["workload"], run["trace"]): run["result"] for run in doc["runs"]}
+    records = {}
+    identity = None
+    for line in text.splitlines():
+        line = line.strip()
+        if not line.startswith("{"):
+            continue
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if not isinstance(doc, dict):
+            continue
+        if "workload" in doc and "trace" in doc:
+            identity = (doc["workload"], doc["trace"])
+        elif isinstance(doc.get("metrics"), dict) and identity is not None:
+            records[identity] = doc
+            identity = None
+    return records
+
+
+def compare_perf(base, head, spec_path):
+    with open(spec_path) as f:
+        bounds = {m["name"]: m for m in json.load(f)["end_to_end"]}
+    compared = 0
+    for identity in sorted(set(base) & set(head)):
+        workload, trace = identity
+        base_metrics = base[identity]["metrics"]
+        head_metrics = head[identity]["metrics"]
+        for name in sorted(set(base_metrics) & set(head_metrics)):
+            old = base_metrics[name]["value"]
+            new = head_metrics[name]["value"]
+            ratio = f"{new / old:6.3f}" if old else "   n/a"
+            note = ""
+            if name in bounds:
+                bound = bounds[name]
+                note = f"  [bound {bound['bound']:.2f}, {bound['better']} is better]"
+                if old:
+                    worse = (old - new) / old if bound["better"] == "higher" else (new - old) / old
+                    if worse > bound["bound"]:
+                        note += "  << beyond bound"
+            compared += 1
+            print(f"{workload} trace={trace} {name}: {old:.6g} -> {new:.6g}  x{ratio}{note}")
+    for identity in sorted(set(base) ^ set(head)):
+        side = "base" if identity in base else "head"
+        print(f"{identity[0]} trace={identity[1]}: only in {side} (not compared)")
+    if compared == 0:
+        print("error: no comparable perfbench metrics between the two files",
+              file=sys.stderr)
+        return 2
+    print(f"\n{compared} metric(s) compared (record trail, not a gate)")
+    return 0
 
 
 def load_records(path):
@@ -65,7 +143,17 @@ def main():
         default=0.10,
         help="max allowed fractional throughput drop (default 0.10 = 10%%)",
     )
+    parser.add_argument(
+        "--spec",
+        default=os.path.join(ROOT, "BENCHMARK.json"),
+        help="benchmark declaration holding the end-to-end bounds",
+    )
     args = parser.parse_args()
+
+    base_perf = load_perf_records(args.base)
+    head_perf = load_perf_records(args.head)
+    if base_perf or head_perf:
+        return compare_perf(base_perf, head_perf, args.spec)
 
     base = load_records(args.base)
     head = load_records(args.head)

@@ -361,57 +361,60 @@ Status DistributedMapReduce::setup(sgx::AttestationService& service) {
   }
 
   // --- attested sessions carrying the job key and layout ------------------
-  // The coordinator mints the job key; each worker's edge releases it,
-  // with the job layout, as the edge's first sealed record. A session that
-  // fails after setup (e.g. a recovery-time rekey that exhausts its
-  // retransmit budget) is a liveness signal for the peer.
-  job_key_ = cluster_.platform(kCoordinator).entropy().bytes(16);
+  // The cluster mints the job key on the coordinator; each worker's edge
+  // releases it, with the job layout, as the edge's first sealed record.
+  // A session that fails after setup (e.g. a recovery-time rekey that
+  // exhausts its retransmit budget) is a liveness signal for the peer.
   std::vector<EnclaveCluster::Edge> edges;
   for (std::size_t w = 0; w < config_.num_workers; ++w) {
-    Bytes record;
-    put_blob(record, job_key_);
-    put_u64(record, w);
-    put_u64(record, config_.num_workers);
-    put_u64(record, config_.num_reducers);
-    put_u8(record, config_.enable_combiner ? 1 : 0);
-    put_u64(record, coordinator_node_);
-    put_u32(record, static_cast<std::uint32_t>(workers_.size()));
-    for (const auto& peer : workers_) put_u64(record, peer->node);
-    edges.push_back({kCoordinator, w + 1, std::move(record)});
+    Bytes layout;
+    put_u64(layout, w);
+    put_u64(layout, config_.num_workers);
+    put_u64(layout, config_.num_reducers);
+    put_u8(layout, config_.enable_combiner ? 1 : 0);
+    put_u64(layout, coordinator_node_);
+    put_u32(layout, static_cast<std::uint32_t>(workers_.size()));
+    for (const auto& peer : workers_) put_u64(layout, peer->node);
+    edges.push_back({kCoordinator, w + 1, std::move(layout)});
   }
-  cluster_.set_on_record([this](std::size_t node, Bytes record) {
-    return worker_on_record(*workers_[node - 1], std::move(record));
-  });
   cluster_.set_on_session_failure([this](std::size_t node, std::size_t peer) {
     if (node == kCoordinator && ready_ && config_.recovery.enabled) {
       handle_worker_death(peer - 1);
     }
   });
-  SC_RETURN_IF_ERROR(cluster_.attest(edges));
+  SC_RETURN_IF_ERROR(cluster_.attest(
+      edges,
+      [this](std::size_t node, net::NodeId from, Bytes payload, obs::TraceContext ctx) {
+        if (node == kCoordinator) {
+          coordinator_on_flow_payload(from, std::move(payload));
+        } else {
+          worker_on_flow_payload(*workers_[node - 1], from, std::move(payload), ctx);
+        }
+      },
+      [this](std::size_t node, ByteView layout) {
+        return worker_on_layout(*workers_[node - 1], layout);
+      }));
 
-  FlowNode& flow = cluster_.attach_flow(kCoordinator, job_key_);
-  flow.set_on_payload([this](net::NodeId from, Bytes payload) {
-    coordinator_on_flow_payload(from, std::move(payload));
-  });
   if (config_.recovery.enabled) {
     // The failure detector: a worker flow that sent kDead (dying host's
     // RST) or went silent past the beacon threshold is pronounced dead.
-    flow.set_on_peer_dead([this](net::NodeId node) { on_worker_node_dead(node); });
+    coordinator_flow().set_on_peer_dead(
+        [this](net::NodeId node) { on_worker_node_dead(node); });
   }
 
   ready_ = true;
   return {};
 }
 
-bool DistributedMapReduce::worker_on_record(Worker& worker, Bytes record) {
+bool DistributedMapReduce::worker_on_layout(Worker& worker, ByteView layout) {
   if (!worker.alive) return false;
-  ByteReader r(record);
+  ByteReader r(layout);
   std::uint64_t index = 0, num_workers = 0, num_reducers = 0, coordinator = 0;
   std::uint8_t combiner = 0;
   std::uint32_t peers = 0;
-  if (!r.get_blob(worker.job_key) || !r.get_u64(index) || !r.get_u64(num_workers) ||
-      !r.get_u64(num_reducers) || !r.get_u8(combiner) || !r.get_u64(coordinator) ||
-      !r.get_count(peers, 8) || index != worker.index) {
+  if (!r.get_u64(index) || !r.get_u64(num_workers) || !r.get_u64(num_reducers) ||
+      !r.get_u8(combiner) || !r.get_u64(coordinator) || !r.get_count(peers, 8) ||
+      index != worker.index) {
     worker_fail(worker, Error::protocol("malformed job configuration record"));
     return false;
   }
@@ -428,12 +431,6 @@ bool DistributedMapReduce::worker_on_record(Worker& worker, Bytes record) {
     }
     worker.worker_nodes.push_back(static_cast<net::NodeId>(node));
   }
-  Worker* worker_ptr = &worker;
-  cluster_.attach_flow(worker.index + 1, worker.job_key)
-      .set_on_payload_ctx(
-          [this, worker_ptr](net::NodeId from, Bytes payload, obs::TraceContext ctx) {
-            worker_on_flow_payload(*worker_ptr, from, std::move(payload), ctx);
-          });
   return true;
 }
 
@@ -565,7 +562,7 @@ void DistributedMapReduce::worker_handle_map_task(Worker& worker, ByteView body,
   const MapFn& map_fn = *current_map_fn_;
   // One key schedule per task, shared by the pool threads: AesGcm's const
   // methods touch no mutable state.
-  const crypto::AesGcm gcm(worker.job_key);
+  const crypto::AesGcm gcm(worker_key(worker));
   common::run_indexed(pool_, records.size(), [&](std::size_t i) {
     auto plain = gcm.open_combined(to_bytes("record"), records[i]);
     if (!plain.ok()) {
@@ -667,7 +664,7 @@ void DistributedMapReduce::worker_finish_map_task(Worker& worker,
   // owner can count to exactly W blocks per reducer without timing out.
   // Nonce and AAD are pure functions of (epoch, task, reducer): any
   // re-execution of this task reproduces byte-identical blocks.
-  crypto::AesGcm gcm(worker.job_key);
+  crypto::AesGcm gcm(worker_key(worker));
   std::size_t shuffle_bytes = 0;
   for (std::size_t r = 0; r < R; ++r) {
     const std::uint64_t counter = epoch * (W * R) + task * R + r + 1;
@@ -754,7 +751,7 @@ void DistributedMapReduce::worker_maybe_reduce(Worker& worker,
   platform.clock().advance_cycles(platform.cost().ecall_cycles);
 
   const ReduceFn& reduce_fn = *current_reduce_fn_;
-  crypto::AesGcm gcm(worker.job_key);
+  crypto::AesGcm gcm(worker_key(worker));
   std::size_t pairs_consumed = 0;
   Bytes result_plain;
   put_u64(result_plain, 1);  // enclave transitions for the reduce task
@@ -938,7 +935,7 @@ void DistributedMapReduce::coordinator_on_flow_payload(net::NodeId from,
         return;
       }
       if (results_seen_.count(bundle) != 0) return;  // duplicate copy
-      crypto::AesGcm gcm(job_key_);
+      crypto::AesGcm gcm(cluster_.key(kCoordinator));
       auto plain = gcm.open_combined(result_aad(bundle), sealed);
       if (!plain.ok()) {
         if (!job_error_) {
@@ -1250,7 +1247,7 @@ std::vector<Bytes> DistributedMapReduce::encrypt_partition(
     const std::vector<Bytes>& records) {
   const std::uint64_t base = record_counter_;
   record_counter_ += records.size();
-  crypto::AesGcm gcm(job_key_);
+  crypto::AesGcm gcm(cluster_.key(kCoordinator));
   std::vector<Bytes> out(records.size());
   common::run_indexed(pool_, records.size(), [&](std::size_t i) {
     out[i] =

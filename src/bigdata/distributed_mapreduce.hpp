@@ -173,7 +173,8 @@ class DistributedMapReduce {
   Status setup(sgx::AttestationService& service);
 
   /// Encrypts plaintext records into job-input format under the job key
-  /// (data-owner side; interchangeable with the local engine's format).
+  /// (data-owner side, after setup(); interchangeable with the local
+  /// engine's format).
   std::vector<Bytes> encrypt_partition(const std::vector<Bytes>& records);
 
   /// Thread pool for per-record map compute inside worker handlers.
@@ -309,8 +310,7 @@ class DistributedMapReduce {
     net::NodeId node = 0;
     bool alive = true;
 
-    // Job layout, released through the attested session.
-    Bytes job_key;
+    // Job layout, released with the job key through the attested session.
     std::size_t num_workers = 0;
     std::size_t num_reducers = 0;
     bool combiner = false;
@@ -344,7 +344,9 @@ class DistributedMapReduce {
   }
   FlowNode& coordinator_flow() { return *cluster_.flow(kCoordinator); }
   FlowNode* worker_flow(const Worker& worker) { return cluster_.flow(worker.index + 1); }
-  bool worker_on_record(Worker& worker, Bytes record);
+  /// The job key as the worker's node received it.
+  ByteView worker_key(const Worker& worker) const { return cluster_.key(worker.index + 1); }
+  bool worker_on_layout(Worker& worker, ByteView layout);
   void worker_begin_epoch(Worker& worker, std::uint64_t epoch);
   void worker_on_flow_payload(Worker& worker, net::NodeId from, Bytes payload,
                               obs::TraceContext ctx);
@@ -405,7 +407,6 @@ class DistributedMapReduce {
   EnclaveCluster cluster_;
   net::NodeId coordinator_node_ = 0;
   std::vector<std::unique_ptr<Worker>> workers_;
-  Bytes job_key_;
   std::uint64_t record_counter_ = 0;
   std::uint64_t epoch_ = 0;
   /// Job code for the in-flight run (valid only inside run(); workers

@@ -101,7 +101,11 @@ net::AttestedSession& EnclaveCluster::open_session(net::AttestedSession::Role ro
   return session;
 }
 
-Status EnclaveCluster::attest(const std::vector<Edge>& edges) {
+Status EnclaveCluster::attest(const std::vector<Edge>& edges, OnPayload on_payload,
+                              AcceptLayout accept) {
+  on_payload_ = std::move(on_payload);
+  accept_ = std::move(accept);
+  attach_flow(0, nodes_.front()->platform->entropy().bytes(16));
   for (const Edge& edge : edges) {
     const std::string& name = nodes_[edge.responder]->name;
     net::AttestedSession& responder =
@@ -109,7 +113,7 @@ Status EnclaveCluster::attest(const std::vector<Edge>& edges) {
                      edge.initiator);
     const std::size_t index = edge.responder;
     responder.set_on_record([this, index](Bytes record) {
-      nodes_[index]->accepted = on_record_ && on_record_(index, std::move(record));
+      nodes_[index]->accepted = on_first_record(index, record);
     });
     net::AttestedSession& initiator = open_session(
         net::AttestedSession::Role::kInitiator, edge.initiator, edge.responder);
@@ -127,7 +131,10 @@ Status EnclaveCluster::attest(const std::vector<Edge>& edges) {
                  : responder.failure().error();
     }
     // The only place the app's key crosses the wire: one sealed record.
-    SC_RETURN_IF_ERROR(initiator.send(edge.first_record));
+    Bytes record;
+    put_blob(record, nodes_[edge.initiator]->key);
+    append(record, edge.layout);
+    SC_RETURN_IF_ERROR(initiator.send(record));
     fabric_.run_until_idle();
     if (!nodes_[index]->accepted) {
       return Error::protocol("'" + name + "' did not accept its first record");
@@ -136,12 +143,26 @@ Status EnclaveCluster::attest(const std::vector<Edge>& edges) {
   return {};
 }
 
-FlowNode& EnclaveCluster::attach_flow(std::size_t i, ByteView key) {
+bool EnclaveCluster::on_first_record(std::size_t i, ByteView record) {
+  ByteReader r(record);
+  Bytes key;
+  if (!r.get_blob(key) || key.empty()) return false;
+  const ByteView layout = record.subspan(record.size() - r.remaining());
+  if (accept_ ? !accept_(i, layout) : !layout.empty()) return false;
+  attach_flow(i, std::move(key));
+  return true;
+}
+
+void EnclaveCluster::attach_flow(std::size_t i, Bytes key) {
   Node& node = *nodes_[i];
-  node.flow = std::make_unique<FlowNode>(fabric_, node.id, key, config_.flow);
+  node.key = std::move(key);
+  node.flow = std::make_unique<FlowNode>(fabric_, node.id, node.key, config_.flow);
   node.flow->set_obs(registry(i));
   node.flow->set_flight(flight(i));
-  return *node.flow;
+  node.flow->set_on_payload(
+      [this, i](net::NodeId from, Bytes payload, obs::TraceContext trace) {
+        on_payload_(i, from, std::move(payload), trace);
+      });
 }
 
 std::optional<std::size_t> EnclaveCluster::index_of(net::NodeId id) const {

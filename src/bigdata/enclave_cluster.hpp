@@ -8,7 +8,8 @@
 // sealed record, and from then on all traffic rides a FlowNode keyed by
 // it. EnclaveCluster owns that per-node bundle — fabric node, platform,
 // enclave, obs::NodeObs, SessionDemux, both session ends of every edge,
-// FlowNode — so the apps own only their data planes.
+// the app key, FlowNode — and the key release itself, so the apps own
+// only their layouts and data planes.
 //
 // Ordering contract (the wire bytes and fabric time of setup depend on
 // it, and tests/cluster_pin_test.cpp pins both):
@@ -19,11 +20,16 @@
 //                 Platform (the app's platform_id and entropy seed),
 //                 provisioning, EPC flight/obs wiring, the enclave, and
 //                 the session demux.
-//   attest()    — the app's edge list in the app's order. Per edge: the
-//                 responder session, then the initiator, the handshake
-//                 run to completion, then the app's first record sealed
-//                 to the responder and drained. The next edge starts only
-//                 after the previous responder accepted its record.
+//   attest()    — first the app key, 16 bytes drawn from node 0's
+//                 platform entropy, and node 0's FlowNode. Then the app's
+//                 edge list in the app's order. Per edge: the responder
+//                 session, then the initiator, the handshake run to
+//                 completion, then the first record blob(key) ‖ layout
+//                 sealed to the responder and drained. The responder
+//                 parses the key, the app vets the layout, and the node's
+//                 FlowNode is attached. The next edge starts only after
+//                 the previous responder accepted its record. Flows open
+//                 no traffic during attest().
 //
 // Obs modes: per-node (the default) gives every node an obs::NodeObs
 // bundle that its sessions, flow and EPC report into; shared mode wires
@@ -59,16 +65,19 @@ class EnclaveCluster {
                                              .max_retries = 12};
 
   /// One edge to attest: `initiator` handshakes with `responder`, then
-  /// seals `first_record` to it.
+  /// seals blob(key) ‖ `layout` to it.
   struct Edge {
     std::size_t initiator = 0;
     std::size_t responder = 0;
-    Bytes first_record;
+    Bytes layout;
   };
 
-  /// Receives a record sealed to responder `node`; returns whether the
-  /// node accepted it.
-  using OnRecord = std::function<bool(std::size_t node, Bytes record)>;
+  /// Vets the layout that followed the key in the first record sealed to
+  /// responder `node`; returns whether the node accepts it.
+  using AcceptLayout = std::function<bool(std::size_t node, ByteView layout)>;
+  /// A payload delivered to node `node` by its FlowNode.
+  using OnPayload = std::function<void(std::size_t node, net::NodeId from, Bytes payload,
+                                       obs::TraceContext trace)>;
   /// A session on `node` toward `peer` failed.
   using OnSessionFailure = std::function<void(std::size_t node, std::size_t peer)>;
 
@@ -92,16 +101,15 @@ class EnclaveCluster {
   /// runs the canonical worker image; its measurement is the pin.
   Status boot(sgx::AttestationService& service);
 
-  void set_on_record(OnRecord fn) { on_record_ = std::move(fn); }
   void set_on_session_failure(OnSessionFailure fn) { on_failure_ = std::move(fn); }
 
-  /// Attests `edges` in order (see the ordering contract). Fails with the
-  /// first session failure, or kProtocol when a responder refused its
-  /// first record.
-  Status attest(const std::vector<Edge>& edges);
-
-  /// Creates node `i`'s FlowNode keyed by `key`, wired to the node's obs.
-  FlowNode& attach_flow(std::size_t i, ByteView key);
+  /// Mints the app key and releases it over `edges` in order (see the
+  /// ordering contract); every node that holds the key gets a FlowNode
+  /// delivering into `on_payload`. Without `accept` a first record must
+  /// carry the key alone. Fails with the first session failure, or
+  /// kProtocol when a responder refused its first record.
+  Status attest(const std::vector<Edge>& edges, OnPayload on_payload,
+                AcceptLayout accept = {});
 
   std::size_t size() const { return nodes_.size(); }
   net::NodeId node_id(std::size_t i) const { return nodes_[i]->id; }
@@ -109,6 +117,8 @@ class EnclaveCluster {
   std::optional<std::size_t> index_of(net::NodeId id) const;
   sgx::Platform& platform(std::size_t i) { return *nodes_[i]->platform; }
   FlowNode* flow(std::size_t i) const { return nodes_[i]->flow.get(); }
+  /// The app key as node `i` holds it (empty until its edge released it).
+  ByteView key(std::size_t i) const { return nodes_[i]->key; }
   /// The session node `i` terminates toward `peer` (null if none).
   net::AttestedSession* session(std::size_t i, std::size_t peer) const;
 
@@ -140,11 +150,16 @@ class EnclaveCluster {
     /// Both session ends this node terminates, keyed by peer index.
     std::map<std::size_t, std::unique_ptr<net::AttestedSession>> sessions;
     bool accepted = false;  // took its first record
+    Bytes key;
     std::unique_ptr<FlowNode> flow;
   };
 
   net::AttestedSession& open_session(net::AttestedSession::Role role, std::size_t self,
                                      std::size_t peer);
+  /// Node `i` holds `key`: it gets its FlowNode, wired to its obs.
+  void attach_flow(std::size_t i, Bytes key);
+  /// A first record sealed to responder `i`: blob(key) ‖ layout.
+  bool on_first_record(std::size_t i, ByteView record);
 
   net::Fabric& fabric_;
   ClusterConfig config_;
@@ -157,7 +172,8 @@ class EnclaveCluster {
   sgx::Measurement policy_{};
   std::vector<std::unique_ptr<Node>> nodes_;
   std::map<net::NodeId, std::size_t> index_of_;
-  OnRecord on_record_;
+  AcceptLayout accept_;
+  OnPayload on_payload_;
   OnSessionFailure on_failure_;
 };
 

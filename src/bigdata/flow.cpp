@@ -42,8 +42,8 @@ FlowNode::Outbound& FlowNode::outbound(net::NodeId dst) {
   auto it = outbound_.find(dst);
   if (it == outbound_.end()) {
     auto sender = std::make_unique<SecureTransferSender>(
-        key_, stream_id(self_, dst), config_.chunk_size);
-    sender->enable_retransmit_buffer(config_.retransmit_buffer_chunks);
+        key_, stream_id(self_, dst), config_.chunk_size,
+        config_.retransmit_buffer_chunks);
     sender->set_obs(registry_);
     it = outbound_.emplace(dst, Outbound{std::move(sender), 0, 0}).first;
   }
@@ -54,8 +54,7 @@ FlowNode::Inbound& FlowNode::inbound(net::NodeId src) {
   auto it = inbound_.find(src);
   if (it == inbound_.end()) {
     auto receiver = std::make_unique<SecureTransferReceiver>(
-        key_, stream_id(src, self_));
-    receiver->enable_recovery(fabric_.clock(), config_.recovery);
+        key_, stream_id(src, self_), fabric_.clock(), config_.max_nacks_per_gap);
     receiver->set_obs(registry_);
     it = inbound_.emplace(src, Inbound{std::move(receiver)}).first;
   }
@@ -156,7 +155,7 @@ void FlowNode::on_chunk(const net::Message& message) {
     return;
   }
   Inbound& in = inbound(message.src);
-  auto payloads = in.receiver->receive_any(wire);
+  auto payloads = in.receiver->receive(wire);
   if (!payloads.ok()) {
     // The receiver's own health() surfaces this stream failure.
     note_flight("dead_stream", message.src, in.receiver->next_expected());
@@ -176,11 +175,7 @@ void FlowNode::on_chunk(const net::Message& message) {
       if (obs_payload_bytes_delivered_ != nullptr) {
         obs_payload_bytes_delivered_->inc(payload.size());
       }
-      if (on_payload_ctx_) {
-        on_payload_ctx_(message.src, std::move(payload), trace);
-      } else if (on_payload_) {
-        on_payload_(message.src, std::move(payload));
-      }
+      if (on_payload_) on_payload_(message.src, std::move(payload), trace);
     }
   }
   refresh_depth();
@@ -216,7 +211,10 @@ void FlowNode::on_control(const net::Message& message) {
     case kAck: {
       auto it = outbound_.find(message.src);
       if (it == outbound_.end()) return;
-      it->second.acked_through = std::max(it->second.acked_through, value);
+      // Acks are unauthenticated: one past what was sent would wrap the
+      // in-flight depth.
+      it->second.acked_through =
+          std::max(it->second.acked_through, std::min(value, it->second.chunks_sent));
       it->second.beacons_unanswered = 0;  // any ack proves liveness
       refresh_depth();
       return;
@@ -266,7 +264,7 @@ bool FlowNode::work_pending() const {
 void FlowNode::arm_timer() {
   if (timer_armed_) return;
   timer_armed_ = true;
-  fabric_.schedule(config_.poll_interval_ns, [this] { on_timer(); });
+  fabric_.schedule(kPollIntervalNs, [this] { on_timer(); });
 }
 
 void FlowNode::on_timer() {

@@ -15,6 +15,11 @@
 // budget runs out surfaces as a typed kUnavailable through health(),
 // never a silent divergence.
 //
+// Only the sealed chunk is authenticated. The envelope's high-water mark
+// and the control values (NACK, ACK, beacon) are host-controlled bytes:
+// a high-water mark registers at most the receiver's reorder window of
+// gaps, and an ack never counts past what was sent.
+//
 // All flow activity happens inside fabric events, so a serially-driven
 // fabric gives bit-identical transfer/NACK/ACK schedules per seed.
 #pragma once
@@ -32,13 +37,10 @@ struct FlowConfig {
   std::uint32_t chunk_channel = 101;    // fabric channel for data chunks
   std::uint32_t control_channel = 102;  // NACK / ACK / beacon traffic
   std::size_t chunk_size = 4096;
-  /// How often the flow timer polls for due NACKs and unacked outbound
-  /// flows while work is pending.
-  std::uint64_t poll_interval_ns = 500'000;
-  /// Per-inbound-flow recovery knobs. The NACK budget is raised well
-  /// above the transfer default: a fabric test arms aggressive loss, and
-  /// abandoning a gap kills the whole stream.
-  ReceiverRecoveryConfig recovery{.max_nacks_per_gap = 32};
+  /// NACKs per inbound gap before it is abandoned. Generous: a fabric
+  /// test arms aggressive loss, and abandoning a gap kills the whole
+  /// stream.
+  std::size_t max_nacks_per_gap = 32;
   std::size_t retransmit_buffer_chunks = 4096;
   /// Liveness: after this many consecutive beacons to one peer with no
   /// ack coming back, the peer is declared dead (outbound marked dead,
@@ -83,15 +85,16 @@ struct FlowDepth {
 /// handler for its two channels; peers are discovered lazily (first
 /// send() or first chunk from a new source creates the directed flow).
 /// All peers share one symmetric `key` — in the full system it is the
-/// job key released after attestation (see DistributedMapReduce::setup).
+/// app key released after attestation (see EnclaveCluster::attest).
 class FlowNode {
  public:
-  using OnPayload = std::function<void(net::NodeId from, Bytes payload)>;
-  /// Context-aware variant: also receives the trace context carried in
-  /// the chunk header that completed the payload (invalid when the
-  /// sender attached none). Preferred over OnPayload when set.
-  using OnPayloadCtx =
-      std::function<void(net::NodeId from, Bytes payload, obs::TraceContext)>;
+  /// A delivered payload, with the trace context carried in the chunk
+  /// header that completed it (invalid when the sender attached none).
+  using OnPayload =
+      std::function<void(net::NodeId from, Bytes payload, obs::TraceContext trace)>;
+  /// How often the flow timer polls for due NACKs and unacked outbound
+  /// flows while work is pending.
+  static constexpr std::uint64_t kPollIntervalNs = 500'000;
 
   FlowNode(net::Fabric& fabric, net::NodeId self, ByteView key,
            FlowConfig config = {});
@@ -106,7 +109,6 @@ class FlowNode {
   Status send(net::NodeId dst, ByteView payload, obs::TraceContext trace = {});
 
   void set_on_payload(OnPayload fn) { on_payload_ = std::move(fn); }
-  void set_on_payload_ctx(OnPayloadCtx fn) { on_payload_ctx_ = std::move(fn); }
 
   /// True when every outbound chunk has been cumulatively acked and no
   /// inbound flow has an open gap.
@@ -209,7 +211,6 @@ class FlowNode {
   Bytes key_;
   FlowConfig config_;
   OnPayload on_payload_;
-  OnPayloadCtx on_payload_ctx_;
   OnPeerDead on_peer_dead_;
   obs::FlightRecorder* flight_ = nullptr;
   std::map<net::NodeId, Outbound> outbound_;

@@ -51,17 +51,9 @@ std::vector<Bytes> SecureTransferSender::send(ByteView payload) {
     obs_plaintext_bytes_->inc(payload.size());
     obs_wire_bytes_->inc(batch_wire_bytes);
   }
-  if (retransmit_capacity_ > 0) {
-    for (std::size_t i = 0; i < num_chunks; ++i) {
-      sent_[base_seq + i] = chunks[i];
-    }
-    while (sent_.size() > retransmit_capacity_) sent_.erase(sent_.begin());
-  }
+  for (std::size_t i = 0; i < num_chunks; ++i) sent_[base_seq + i] = chunks[i];
+  while (sent_.size() > retransmit_capacity_) sent_.erase(sent_.begin());
   return chunks;
-}
-
-void SecureTransferSender::enable_retransmit_buffer(std::size_t max_chunks) {
-  retransmit_capacity_ = max_chunks;
 }
 
 Result<Bytes> SecureTransferSender::retransmit(std::uint64_t sequence) const {
@@ -85,79 +77,43 @@ void SecureTransferSender::set_obs(obs::Registry* registry) {
   obs_retransmits_ = &registry->counter("transfer_send_retransmits_total");
 }
 
-Result<std::optional<Bytes>> SecureTransferReceiver::receive(ByteView wire_chunk) {
-  ByteReader reader(wire_chunk);
-  std::uint64_t seq = 0;
-  std::uint8_t last = 0;
-  if (!reader.get_u64(seq) || !reader.get_u8(last)) {
-    return Error::protocol("truncated transfer chunk");
-  }
-  if (seq != expected_sequence_) {
-    return Error::protocol("transfer chunk out of order");
-  }
-  const ByteView sealed(wire_chunk.data() + (wire_chunk.size() - reader.remaining()),
-                        reader.remaining());
-  auto plain = gcm_.open_combined(chunk_aad(stream_id_, seq, last != 0), sealed);
-  if (!plain.ok()) return plain.error();
-
-  ++expected_sequence_;
-  obs_inc(obs_accepted_);
-  append(assembling_, *plain);
-  if (last == 0) return std::optional<Bytes>{};
-
-  auto payload = rle_decompress(assembling_);
-  assembling_.clear();
-  if (!payload.ok()) return payload.error();
-  return std::optional<Bytes>{std::move(payload).value()};
-}
-
-void SecureTransferReceiver::enable_recovery(const SimClock& clock,
-                                             ReceiverRecoveryConfig config) {
-  clock_ = &clock;
-  recovery_ = config;
-  recovery_enabled_ = true;
-}
-
 void SecureTransferReceiver::register_gaps_up_to(std::uint64_t sequence) {
   // Every sequence in [expected_, sequence) that is neither buffered nor
   // already tracked is a fresh gap; its first NACK is due immediately.
-  for (std::uint64_t seq = expected_sequence_; seq < sequence; ++seq) {
+  // `sequence` comes from unauthenticated bytes, so the window caps it.
+  const std::uint64_t end =
+      std::min(sequence, expected_sequence_ + kMaxBufferedChunks);
+  for (std::uint64_t seq = expected_sequence_; seq < end; ++seq) {
     if (out_of_order_.count(seq) || gaps_.count(seq)) continue;
-    gaps_[seq] = Gap{.attempt = 0, .retry_at_ns = clock_->nanos()};
+    gaps_[seq] = Gap{.attempt = 0, .retry_at_ns = clock_.nanos()};
   }
 }
 
 Result<std::vector<Bytes>> SecureTransferReceiver::apply_in_order(Bytes plain,
                                                                   bool last) {
+  // Applies the chunk at expected_, then every buffered successor that is
+  // now in order.
   std::vector<Bytes> completed;
-  ++recovery_stats_.accepted;
-  obs_inc(obs_accepted_);
-  ++expected_sequence_;
-  append(assembling_, plain);
-  if (last) {
-    auto payload = rle_decompress(assembling_);
-    assembling_.clear();
-    if (!payload.ok()) return payload.error();
-    completed.push_back(std::move(payload).value());
-  }
-
-  // Drain buffered successors that are now in order.
-  auto next = out_of_order_.find(expected_sequence_);
-  while (next != out_of_order_.end()) {
-    BufferedChunk chunk = std::move(next->second);
+  while (true) {
+    ++recovery_stats_.accepted;
+    obs_inc(obs_accepted_);
+    ++expected_sequence_;
+    append(assembling_, plain);
+    if (last) {
+      auto payload = rle_decompress(assembling_);
+      assembling_.clear();
+      if (!payload.ok()) return payload.error();
+      completed.push_back(std::move(payload).value());
+    }
+    const auto next = out_of_order_.find(expected_sequence_);
+    if (next == out_of_order_.end()) return completed;
+    plain = std::move(next->second.plain);
+    last = next->second.last;
     out_of_order_.erase(next);
-    auto more = apply_in_order(std::move(chunk.plain), chunk.last);
-    if (!more.ok()) return more.error();
-    for (Bytes& payload : *more) completed.push_back(std::move(payload));
-    next = out_of_order_.find(expected_sequence_);
   }
-  return completed;
 }
 
-Result<std::vector<Bytes>> SecureTransferReceiver::receive_any(ByteView wire_chunk) {
-  if (!recovery_enabled_) {
-    return Error::internal("receive_any requires enable_recovery()");
-  }
+Result<std::vector<Bytes>> SecureTransferReceiver::receive(ByteView wire_chunk) {
   SC_RETURN_IF_ERROR(health());
 
   ByteReader reader(wire_chunk);
@@ -188,9 +144,7 @@ Result<std::vector<Bytes>> SecureTransferReceiver::receive_any(ByteView wire_chu
     // reveals the hole.
     ++recovery_stats_.corrupt;
     obs_inc(obs_corrupt_);
-    if (seq <= expected_sequence_ + recovery_.max_buffered_chunks) {
-      register_gaps_up_to(seq + 1);
-    }
+    if (seq <= expected_sequence_ + kMaxBufferedChunks) register_gaps_up_to(seq + 1);
     return std::vector<Bytes>{};
   }
 
@@ -205,7 +159,7 @@ Result<std::vector<Bytes>> SecureTransferReceiver::receive_any(ByteView wire_chu
   }
 
   // Out of order: hold it back and NACK the hole in front of it.
-  if (out_of_order_.size() >= recovery_.max_buffered_chunks) {
+  if (out_of_order_.size() >= kMaxBufferedChunks) {
     stream_failed_ = true;
     return Error::exhausted("reorder window full at chunk " + std::to_string(seq));
   }
@@ -217,9 +171,6 @@ Result<std::vector<Bytes>> SecureTransferReceiver::receive_any(ByteView wire_chu
 }
 
 Status SecureTransferReceiver::expect_through(std::uint64_t sequence) {
-  if (!recovery_enabled_) {
-    return Error::internal("expect_through requires enable_recovery()");
-  }
   SC_RETURN_IF_ERROR(health());
   register_gaps_up_to(sequence + 1);
   return {};
@@ -227,15 +178,14 @@ Status SecureTransferReceiver::expect_through(std::uint64_t sequence) {
 
 std::vector<Nack> SecureTransferReceiver::take_due_nacks() {
   std::vector<Nack> due;
-  if (!recovery_enabled_ || clock_ == nullptr) return due;
-  const std::uint64_t now = clock_->nanos();
+  const std::uint64_t now = clock_.nanos();
   for (auto it = gaps_.begin(); it != gaps_.end();) {
     Gap& gap = it->second;
     if (gap.retry_at_ns > now) {
       ++it;
       continue;
     }
-    if (gap.attempt >= recovery_.max_nacks_per_gap) {
+    if (gap.attempt >= max_nacks_per_gap_) {
       ++recovery_stats_.gaps_abandoned;
       obs_inc(obs_gaps_abandoned_);
       stream_failed_ = true;
@@ -246,11 +196,11 @@ std::vector<Nack> SecureTransferReceiver::take_due_nacks() {
     ++recovery_stats_.nacks_sent;
     obs_inc(obs_nacks_sent_);
     // Capped exponential backoff on simulated time: 1 ms, 2 ms, 4 ms ...
-    std::uint64_t backoff = recovery_.initial_backoff_ns;
-    for (std::size_t i = 0; i < gap.attempt && backoff < recovery_.max_backoff_ns; ++i) {
+    std::uint64_t backoff = kInitialBackoffNs;
+    for (std::size_t i = 0; i < gap.attempt && backoff < kMaxBackoffNs; ++i) {
       backoff *= 2;
     }
-    backoff = std::min(backoff, recovery_.max_backoff_ns);
+    backoff = std::min(backoff, kMaxBackoffNs);
     gap.retry_at_ns = now + backoff;
     ++gap.attempt;
     ++it;
@@ -278,53 +228,6 @@ Status SecureTransferReceiver::health() const {
     return Error::unavailable("transfer stream failed: chunk lost beyond retry budget");
   }
   return {};
-}
-
-Result<std::vector<Bytes>> SecureTransferReceiver::receive_all(
-    const std::vector<Bytes>& wire_chunks, common::ThreadPool* pool) {
-  // Phase 1 (parallel): authenticate and decrypt every chunk. The open
-  // uses only the chunk's own header (nonce = its sequence number), so
-  // it commutes; the receiver state machine below never observes order.
-  struct Opened {
-    bool header_ok = false;
-    std::uint64_t seq = 0;
-    bool last = false;
-    Result<Bytes> plain = Error::internal("chunk not processed");
-  };
-  std::vector<Opened> opened(wire_chunks.size());
-  common::run_indexed(pool, wire_chunks.size(), [&](std::size_t i) {
-    Opened& o = opened[i];
-    ByteReader reader(wire_chunks[i]);
-    std::uint8_t last = 0;
-    if (!reader.get_u64(o.seq) || !reader.get_u8(last)) return;
-    o.header_ok = true;
-    o.last = last != 0;
-    const ByteView sealed(
-        wire_chunks[i].data() + (wire_chunks[i].size() - reader.remaining()),
-        reader.remaining());
-    o.plain = gcm_.open_combined(chunk_aad(stream_id_, o.seq, o.last), sealed);
-  });
-
-  // Phase 2 (serial, wire order): the exact state transitions a
-  // receive() loop performs, with its error precedence — header parse,
-  // then sequence check, then AEAD verdict.
-  std::vector<Bytes> payloads;
-  for (Opened& o : opened) {
-    if (!o.header_ok) return Error::protocol("truncated transfer chunk");
-    if (o.seq != expected_sequence_) {
-      return Error::protocol("transfer chunk out of order");
-    }
-    if (!o.plain.ok()) return o.plain.error();
-    ++expected_sequence_;
-    obs_inc(obs_accepted_);
-    append(assembling_, *o.plain);
-    if (!o.last) continue;
-    auto payload = rle_decompress(assembling_);
-    assembling_.clear();
-    if (!payload.ok()) return payload.error();
-    payloads.push_back(std::move(payload).value());
-  }
-  return payloads;
 }
 
 }  // namespace securecloud::bigdata

@@ -1,8 +1,13 @@
 // Secure bulk data transfer: compress inside the enclave, then encrypt.
 //
 // Order matters: ciphertext is incompressible, so the compression step
-// must run on plaintext inside the protection boundary. The receiver
-// reverses the pipeline, verifying integrity chunk by chunk.
+// must run on plaintext inside the protection boundary. The sender
+// chunks the compressed payload, seals each chunk with AES-GCM (nonce
+// and AAD bind stream id, sequence and last-flag) and keeps the sealed
+// chunks for retransmission. The receiver has one path, and it is loss
+// tolerant: it authenticates each chunk, drops corrupt and duplicate
+// ones, buffers reordered ones, NACKs the holes on simulated time, and
+// hands back payloads once, in order.
 #pragma once
 
 #include <map>
@@ -31,9 +36,17 @@ struct TransferStats {
 
 class SecureTransferSender {
  public:
+  /// Keeps the last `retransmit_chunks` sent wire chunks so a receiver
+  /// NACK can be answered with a bit-identical retransmission (the chunk
+  /// is already sealed; resending never re-encrypts, so nonces stay
+  /// unique).
   SecureTransferSender(ByteView key, std::uint32_t stream_id,
-                       std::size_t chunk_size = 64 * 1024)
-      : gcm_(key), stream_id_(stream_id), chunk_size_(chunk_size) {}
+                       std::size_t chunk_size = 64 * 1024,
+                       std::size_t retransmit_chunks = 1024)
+      : gcm_(key),
+        stream_id_(stream_id),
+        chunk_size_(chunk_size),
+        retransmit_capacity_(retransmit_chunks) {}
 
   /// Produces the wire chunks for `payload` and updates the stats.
   /// Chunk boundaries and sequence numbers are fixed before the seals
@@ -43,13 +56,8 @@ class SecureTransferSender {
 
   void set_pool(common::ThreadPool* pool) { pool_ = pool; }
 
-  /// Keeps the last `max_chunks` sent wire chunks so a receiver NACK can
-  /// be answered with a bit-identical retransmission (the chunk is
-  /// already sealed; resending never re-encrypts, so nonces stay unique).
-  void enable_retransmit_buffer(std::size_t max_chunks = 1024);
-
   /// Returns the retained wire chunk for `sequence`; kNotFound once it
-  /// has been evicted (or the buffer was never enabled).
+  /// has been evicted.
   Result<Bytes> retransmit(std::uint64_t sequence) const;
 
   const TransferStats& stats() const { return stats_; }
@@ -61,24 +69,16 @@ class SecureTransferSender {
   crypto::AesGcm gcm_;
   std::uint32_t stream_id_;
   std::size_t chunk_size_;
+  std::size_t retransmit_capacity_;
   std::uint64_t sequence_ = 0;
   TransferStats stats_;
   common::ThreadPool* pool_ = nullptr;
-  std::size_t retransmit_capacity_ = 0;  // 0 = disabled
   std::map<std::uint64_t, Bytes> sent_;  // seq -> wire, bounded FIFO by seq
 
   obs::Counter* obs_chunks_ = nullptr;
   obs::Counter* obs_plaintext_bytes_ = nullptr;
   obs::Counter* obs_wire_bytes_ = nullptr;
   obs::Counter* obs_retransmits_ = nullptr;
-};
-
-/// Loss-recovery knobs for SecureTransferReceiver (see enable_recovery).
-struct ReceiverRecoveryConfig {
-  std::size_t max_buffered_chunks = 256;      // out-of-order reorder window
-  std::uint64_t initial_backoff_ns = 1'000'000;   // first re-NACK after 1 ms
-  std::uint64_t max_backoff_ns = 64'000'000;      // backoff cap (64 ms)
-  std::size_t max_nacks_per_gap = 8;          // then the gap is abandoned
 };
 
 /// A re-request the receiver wants sent to the sender. `attempt` is
@@ -102,39 +102,40 @@ struct ReceiverStats {
 
 class SecureTransferReceiver {
  public:
-  SecureTransferReceiver(ByteView key, std::uint32_t stream_id)
-      : gcm_(key), stream_id_(stream_id) {}
+  /// Out-of-order chunks held back at most; one more kills the stream
+  /// (kExhausted). It also bounds how far past next_expected() gaps are
+  /// registered: the sequence field and the flow's high-water mark are
+  /// unauthenticated, so a hostile host must not be able to size the gap
+  /// table.
+  static constexpr std::size_t kMaxBufferedChunks = 256;
+  /// NACK backoff on simulated time: 1 ms, doubling, capped at 64 ms.
+  static constexpr std::uint64_t kInitialBackoffNs = 1'000'000;
+  static constexpr std::uint64_t kMaxBackoffNs = 64'000'000;
 
-  /// Consumes the next wire chunk in order; returns the reassembled
-  /// payload once its final chunk arrives, nullopt while incomplete.
-  Result<std::optional<Bytes>> receive(ByteView wire_chunk);
+  /// The NACK schedule runs on `clock` (tests are exact); a gap NACKed
+  /// `max_nacks_per_gap` times without repair is abandoned.
+  SecureTransferReceiver(ByteView key, std::uint32_t stream_id, const SimClock& clock,
+                         std::size_t max_nacks_per_gap)
+      : gcm_(key),
+        stream_id_(stream_id),
+        clock_(clock),
+        max_nacks_per_gap_(max_nacks_per_gap) {}
 
-  /// Batch receive: opens every chunk's AEAD across `pool` (the opens
-  /// are pure — nonce and AAD come from the chunk header), then applies
-  /// the sequence checks and reassembly serially in wire order. State
-  /// transitions and results match a receive() loop exactly. Returns
-  /// every payload completed within the batch.
-  Result<std::vector<Bytes>> receive_all(const std::vector<Bytes>& wire_chunks,
-                                         common::ThreadPool* pool = nullptr);
-
-  /// Switches the receiver into loss-tolerant mode: out-of-order chunks
-  /// are buffered (bounded window), duplicates are dropped, and detected
-  /// gaps produce NACKs whose re-request schedule runs on `clock`
-  /// (capped exponential backoff in simulated time — tests are exact).
-  void enable_recovery(const SimClock& clock, ReceiverRecoveryConfig config = {});
-
-  /// Loss-tolerant ingest. Accepts chunks in any order; corrupt or
-  /// duplicate chunks are counted and dropped, out-of-order chunks are
-  /// buffered, and gaps are registered for NACKing. Returns every payload
-  /// completed by this chunk (possibly several, when it fills a gap).
-  /// Once a gap has been abandoned the stream is dead: kUnavailable.
-  Result<std::vector<Bytes>> receive_any(ByteView wire_chunk);
+  /// Accepts chunks in any order: corrupt (header parse, AEAD, stream
+  /// binding) or duplicate chunks are counted and dropped, out-of-order
+  /// chunks are buffered, and the holes in front of them are registered
+  /// for NACKing. Returns every payload completed by this chunk, in
+  /// order (several when it fills a gap). Once a gap has been abandoned
+  /// the stream is dead: kUnavailable.
+  Result<std::vector<Bytes>> receive(ByteView wire_chunk);
 
   /// Sender-advertised high-water mark (piggybacked on a heartbeat in a
   /// real deployment): every sequence up to and including `sequence` was
   /// sent, so any not yet received becomes a NACKable gap. This is how
   /// *trailing* losses — with no later chunk behind them to reveal the
-  /// hole — are detected.
+  /// hole — are detected. The mark is unauthenticated: gaps are only
+  /// registered up to next_expected() + kMaxBufferedChunks, and later
+  /// marks reveal the rest as the stream advances.
   Status expect_through(std::uint64_t sequence);
 
   /// NACKs whose (SimClock) retry time has arrived. Calling this hands
@@ -188,13 +189,11 @@ class SecureTransferReceiver {
   std::uint64_t expected_sequence_ = 0;
   Bytes assembling_;
 
-  // Recovery mode state (inert until enable_recovery).
-  const SimClock* clock_ = nullptr;
-  ReceiverRecoveryConfig recovery_;
+  const SimClock& clock_;
+  std::size_t max_nacks_per_gap_;
   std::map<std::uint64_t, BufferedChunk> out_of_order_;
   std::map<std::uint64_t, Gap> gaps_;
   ReceiverStats recovery_stats_;
-  bool recovery_enabled_ = false;
   bool stream_failed_ = false;
 
   obs::Counter* obs_accepted_ = nullptr;

@@ -75,15 +75,11 @@ Status FabricOverlay::setup(sgx::AttestationService& service) {
   SC_RETURN_IF_ERROR(cluster_.boot(service));
   for (auto& broker : brokers_) wire_counters(*broker, cluster_.registry(broker->index));
 
-  // The root mints the overlay key; the edges, walked breadth-first from
-  // the root, release it as their first sealed record — so a parent
-  // always holds the key before any of its children's edges are
-  // attested, and no broker joins the data plane without proving the
-  // pinned MRENCLAVE.
-  const Bytes key = cluster_.platform(0).entropy().bytes(16);
-  attach_flow(0, key);
-  Bytes record;
-  put_blob(record, key);
+  // The cluster mints the overlay key on the root; the edges, walked
+  // breadth-first from the root, release it as their first sealed record
+  // — so a parent always holds the key before any of its children's
+  // edges are attested, and no broker joins the data plane without
+  // proving the pinned MRENCLAVE.
   std::vector<bigdata::EnclaveCluster::Edge> edges;
   std::vector<bool> visited(brokers_.size(), false);
   visited[0] = true;
@@ -94,32 +90,17 @@ Status FabricOverlay::setup(sgx::AttestationService& service) {
     for (const BrokerId next : brokers_[at]->neighbours) {
       if (visited[next]) continue;
       visited[next] = true;
-      edges.push_back({at, next, record});
+      edges.push_back({at, next, {}});
       frontier.push_back(next);
     }
   }
-  cluster_.set_on_record([this](std::size_t broker, Bytes key_record) {
-    return on_key_record(broker, std::move(key_record));
-  });
-  SC_RETURN_IF_ERROR(cluster_.attest(edges));
+  SC_RETURN_IF_ERROR(cluster_.attest(
+      edges, [this](std::size_t broker, net::NodeId from, Bytes payload, obs::TraceContext) {
+        on_flow_payload(*brokers_[broker], from, std::move(payload));
+      }));
 
   ready_ = true;
   return {};
-}
-
-bool FabricOverlay::on_key_record(BrokerId broker, Bytes record) {
-  ByteReader r(record);
-  Bytes key;
-  if (!r.get_blob(key) || !r.done() || key.empty()) return false;
-  attach_flow(broker, key);
-  return true;
-}
-
-void FabricOverlay::attach_flow(BrokerId broker, ByteView key) {
-  cluster_.attach_flow(broker, key)
-      .set_on_payload([this, broker](net::NodeId from, Bytes payload) {
-        on_flow_payload(*brokers_[broker], from, std::move(payload));
-      });
 }
 
 void FabricOverlay::send_payload(Broker& broker, BrokerId to, Bytes payload) {

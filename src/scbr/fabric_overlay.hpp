@@ -158,8 +158,6 @@ class FabricOverlay {
     obs::Counter* obs_deliveries = nullptr;
   };
 
-  bool on_key_record(BrokerId broker, Bytes record);
-  void attach_flow(BrokerId broker, ByteView key);
   void wire_counters(Broker& broker, obs::Registry* registry);
   void on_flow_payload(Broker& broker, net::NodeId from_node, Bytes payload);
 

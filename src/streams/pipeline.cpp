@@ -266,37 +266,18 @@ Status Pipeline::setup(sgx::AttestationService& service) {
     stage->agg->set_obs(cluster_.registry(stage->index));
   }
 
-  // The source mints the pipeline key; every edge, walked source-down,
-  // releases it as the first sealed record — so no stage joins the data
-  // plane without proving the pinned MRENCLAVE.
-  const Bytes key = cluster_.platform(0).entropy().bytes(16);
-  attach_flow(0, key);
-  Bytes record;
-  put_blob(record, key);
+  // The cluster mints the pipeline key on the source; every edge, walked
+  // source-down, releases it as the first sealed record — so no stage
+  // joins the data plane without proving the pinned MRENCLAVE.
   std::vector<bigdata::EnclaveCluster::Edge> edges;
-  for (std::size_t i = 0; i + 1 < stages_.size(); ++i) edges.push_back({i, i + 1, record});
-  cluster_.set_on_record([this](std::size_t index, Bytes key_record) {
-    return on_key_record(index, std::move(key_record));
-  });
-  SC_RETURN_IF_ERROR(cluster_.attest(edges));
+  for (std::size_t i = 0; i + 1 < stages_.size(); ++i) edges.push_back({i, i + 1, {}});
+  SC_RETURN_IF_ERROR(cluster_.attest(
+      edges, [this](std::size_t index, net::NodeId from, Bytes payload, obs::TraceContext) {
+        on_frame(*stages_[index], from, std::move(payload));
+      }));
 
   ready_ = true;
   return {};
-}
-
-bool Pipeline::on_key_record(std::size_t index, Bytes record) {
-  ByteReader r(record);
-  Bytes key;
-  if (!r.get_blob(key) || !r.done() || key.empty()) return false;
-  attach_flow(index, key);
-  return true;
-}
-
-void Pipeline::attach_flow(std::size_t index, ByteView key) {
-  cluster_.attach_flow(index, key)
-      .set_on_payload([this, index](net::NodeId from, Bytes payload) {
-        on_frame(*stages_[index], from, std::move(payload));
-      });
 }
 
 // --- the data plane --------------------------------------------------------

@@ -300,8 +300,6 @@ class Pipeline {
     obs::Counter* obs_stall_ns = nullptr;
   };
 
-  bool on_key_record(std::size_t index, Bytes record);
-  void attach_flow(std::size_t index, ByteView key);
   bigdata::FlowNode* flow(const Stage& stage) const { return cluster_.flow(stage.index); }
   void wire_counters(Stage& stage, obs::Registry* registry);
   void on_frame(Stage& stage, net::NodeId from, Bytes payload);

@@ -292,10 +292,27 @@ TEST(Codec, RleBoundedExpansionOnRandomData) {
 
 // ---------------------------------------------------------------- Transfer
 
+constexpr std::size_t kNackBudget = 8;
+
+/// Feeds `chunks` to `receiver` in order; returns every payload it
+/// delivered, in delivery order.
+std::vector<Bytes> deliver(SecureTransferReceiver& receiver,
+                           const std::vector<Bytes>& chunks) {
+  std::vector<Bytes> delivered;
+  for (const auto& chunk : chunks) {
+    auto r = receiver.receive(chunk);
+    EXPECT_TRUE(r.ok());
+    if (!r.ok()) break;
+    for (Bytes& payload : *r) delivered.push_back(std::move(payload));
+  }
+  return delivered;
+}
+
 TEST(Transfer, RoundTripMultiChunk) {
   const Bytes key(16, 0x44);
+  SimClock clock;
   SecureTransferSender sender(key, /*stream_id=*/1, /*chunk_size=*/1024);
-  SecureTransferReceiver receiver(key, 1);
+  SecureTransferReceiver receiver(key, 1, clock, kNackBudget);
 
   Bytes payload;
   for (int i = 0; i < 100; ++i) {
@@ -304,53 +321,65 @@ TEST(Transfer, RoundTripMultiChunk) {
   const auto chunks = sender.send(payload);
   EXPECT_GT(chunks.size(), 0u);
 
-  std::optional<Bytes> delivered;
-  for (const auto& chunk : chunks) {
-    auto r = receiver.receive(chunk);
-    ASSERT_TRUE(r.ok());
-    if (r->has_value()) delivered = **r;
-  }
-  ASSERT_TRUE(delivered.has_value());
-  EXPECT_EQ(*delivered, payload);
+  EXPECT_EQ(deliver(receiver, chunks), std::vector<Bytes>{payload});
   EXPECT_GT(sender.stats().compression_ratio(), 5.0);  // runs compress well
 }
 
 TEST(Transfer, DetectsTamperedChunk) {
   const Bytes key(16, 0x44);
+  SimClock clock;
   SecureTransferSender sender(key, 2);
-  SecureTransferReceiver receiver(key, 2);
-  auto chunks = sender.send(Bytes(1000, 0x11));
+  SecureTransferReceiver receiver(key, 2, clock, kNackBudget);
+  const auto chunks = sender.send(Bytes(1000, 0x11));
   ASSERT_EQ(chunks.size(), 1u);
-  chunks[0][chunks[0].size() / 2] ^= 1;
-  EXPECT_FALSE(receiver.receive(chunks[0]).ok());
+  Bytes tampered = chunks[0];
+  tampered[tampered.size() / 2] ^= 1;
+
+  // Not delivered, counted corrupt, and its sequence becomes a gap.
+  EXPECT_TRUE(deliver(receiver, {tampered}).empty());
+  EXPECT_EQ(receiver.recovery_stats().corrupt, 1u);
+  EXPECT_TRUE(receiver.has_pending_gaps());
+  // The genuine chunk still repairs the stream.
+  EXPECT_EQ(deliver(receiver, chunks), std::vector<Bytes>{Bytes(1000, 0x11)});
+  EXPECT_FALSE(receiver.has_pending_gaps());
 }
 
-TEST(Transfer, RejectsReorderedChunks) {
+TEST(Transfer, ReorderedChunksDeliverOnceInOrder) {
   const Bytes key(16, 0x44);
+  SimClock clock;
   SecureTransferSender sender(key, 3, /*chunk_size=*/64);
-  SecureTransferReceiver receiver(key, 3);
+  SecureTransferReceiver receiver(key, 3, clock, kNackBudget);
   Rng rng(4);
-  Bytes payload(1000);
-  for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next());
-  auto chunks = sender.send(payload);
-  ASSERT_GE(chunks.size(), 2u);
-  EXPECT_FALSE(receiver.receive(chunks[1]).ok());  // skipped chunk 0
+  std::vector<Bytes> payloads(2, Bytes(1000));
+  std::vector<Bytes> chunks;
+  for (Bytes& payload : payloads) {
+    for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next());
+    for (Bytes& chunk : sender.send(payload)) chunks.push_back(std::move(chunk));
+  }
+  ASSERT_GE(chunks.size(), 4u);
+
+  // Every chunk arrives, last first: nothing is delivered until chunk 0
+  // fills the front, then both payloads, in order.
+  std::vector<Bytes> reversed(chunks.rbegin(), chunks.rend());
+  reversed.pop_back();
+  EXPECT_TRUE(deliver(receiver, reversed).empty());
+  EXPECT_EQ(receiver.buffered_depth(), chunks.size() - 1);
+  EXPECT_EQ(deliver(receiver, {chunks[0]}), payloads);
+
+  // A replay of the whole stream delivers nothing again.
+  EXPECT_TRUE(deliver(receiver, chunks).empty());
+  EXPECT_EQ(receiver.recovery_stats().duplicates, chunks.size());
+  EXPECT_EQ(receiver.recovery_stats().accepted, chunks.size());
 }
 
 TEST(Transfer, MultipleMessagesOverOneStream) {
   const Bytes key(16, 0x44);
+  SimClock clock;
   SecureTransferSender sender(key, 4);
-  SecureTransferReceiver receiver(key, 4);
+  SecureTransferReceiver receiver(key, 4, clock, kNackBudget);
   for (int m = 0; m < 5; ++m) {
     const Bytes payload(100 + m, static_cast<std::uint8_t>(m));
-    std::optional<Bytes> got;
-    for (const auto& chunk : sender.send(payload)) {
-      auto r = receiver.receive(chunk);
-      ASSERT_TRUE(r.ok());
-      if (r->has_value()) got = **r;
-    }
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, payload);
+    EXPECT_EQ(deliver(receiver, sender.send(payload)), std::vector<Bytes>{payload});
   }
 }
 

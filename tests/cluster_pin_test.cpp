@@ -333,22 +333,24 @@ TEST(ClusterPin, DistributedMapReducePerNode) { expect_dmr_pins(run_dmr(true)); 
 // --- the runtime itself ----------------------------------------------------
 
 /// A three-node chain 0 -> 1 -> 2 whose nodes accept a first record iff
-/// it is non-empty.
+/// its layout is non-empty.
 struct ChainRig {
   SimClock clock;
   net::Fabric fabric{clock};
   sgx::AttestationService service;
   bigdata::EnclaveCluster cluster{fabric, {}, 16};
 
-  Status build(Bytes first_record) {
+  Status build(Bytes layout) {
     for (std::size_t i = 0; i < 3; ++i) {
       cluster.add_node("n" + std::to_string(i), "platform-n" + std::to_string(i), 40 + i);
     }
     SC_RETURN_IF_ERROR(cluster.connect(0, 1));
     SC_RETURN_IF_ERROR(cluster.connect(1, 2));
     SC_RETURN_IF_ERROR(cluster.boot(service));
-    cluster.set_on_record([](std::size_t, Bytes record) { return !record.empty(); });
-    return cluster.attest({{0, 1, first_record}, {1, 2, first_record}});
+    return cluster.attest(
+        {{0, 1, layout}, {1, 2, layout}},
+        [](std::size_t, net::NodeId, Bytes, obs::TraceContext) {},
+        [](std::size_t, ByteView received) { return !received.empty(); });
   }
 };
 

@@ -194,6 +194,8 @@ struct FaultyDelivery {
   Status health = Status{};
 };
 
+constexpr std::size_t kNackBudget = 8;
+
 /// Sends `payload`, perturbs the wire through `inj`, and drives the
 /// receiver's NACK/retransmit loop on `clock` until it converges (or the
 /// stream dies). Models sender and receiver on either side of an
@@ -202,14 +204,12 @@ FaultyDelivery deliver_with_faults(const Bytes& payload, FaultInjector& inj,
                                    SimClock& clock, std::size_t chunk_size) {
   const Bytes key(16, 0x44);
   SecureTransferSender sender(key, 7, chunk_size);
-  sender.enable_retransmit_buffer();
-  SecureTransferReceiver receiver(key, 7);
-  receiver.enable_recovery(clock);
+  SecureTransferReceiver receiver(key, 7, clock, kNackBudget);
 
   FaultyDelivery out;
   const std::vector<Bytes> chunks = sender.send(payload);
   for (const Bytes& wire : inj.perturb_chunks(chunks)) {
-    auto got = receiver.receive_any(wire);
+    auto got = receiver.receive(wire);
     if (!got.ok()) {
       out.health = got.error();
       out.stats = receiver.recovery_stats();
@@ -225,7 +225,7 @@ FaultyDelivery deliver_with_faults(const Bytes& payload, FaultInjector& inj,
     for (const Nack& nack : receiver.take_due_nacks()) {
       auto wire = sender.retransmit(nack.sequence);
       if (!wire.ok()) continue;
-      auto got = receiver.receive_any(*wire);
+      auto got = receiver.receive(*wire);
       if (!got.ok()) {
         out.health = got.error();
         out.stats = receiver.recovery_stats();
@@ -329,15 +329,13 @@ TEST(TransferRecovery, TrailingLossDetectedViaHighWaterMark) {
   const Bytes payload = make_payload(2'000);
   SimClock clock;
   SecureTransferSender sender(key, 7, 128);
-  sender.enable_retransmit_buffer();
-  SecureTransferReceiver receiver(key, 7);
-  receiver.enable_recovery(clock);
+  SecureTransferReceiver receiver(key, 7, clock, kNackBudget);
 
   const std::vector<Bytes> chunks = sender.send(payload);
   ASSERT_GT(chunks.size(), 2u);
   std::vector<Bytes> completed;
   for (std::size_t i = 0; i + 1 < chunks.size(); ++i) {  // last chunk lost
-    auto got = receiver.receive_any(chunks[i]);
+    auto got = receiver.receive(chunks[i]);
     ASSERT_TRUE(got.ok());
     for (Bytes& p : *got) completed.push_back(std::move(p));
   }
@@ -351,7 +349,7 @@ TEST(TransferRecovery, TrailingLossDetectedViaHighWaterMark) {
   EXPECT_EQ(nacks[0].sequence, chunks.size() - 1);
   auto wire = sender.retransmit(nacks[0].sequence);
   ASSERT_TRUE(wire.ok());
-  auto got = receiver.receive_any(*wire);
+  auto got = receiver.receive(*wire);
   ASSERT_TRUE(got.ok());
   for (Bytes& p : *got) completed.push_back(std::move(p));
   ASSERT_EQ(completed.size(), 1u);
@@ -363,14 +361,13 @@ TEST(TransferRecovery, LossBeyondRetryBudgetIsTypedError) {
   const Bytes payload = make_payload(2'000);
   SimClock clock;
   SecureTransferSender sender(key, 7, 128);
-  SecureTransferReceiver receiver(key, 7);
-  receiver.enable_recovery(clock);
+  SecureTransferReceiver receiver(key, 7, clock, kNackBudget);
 
   const std::vector<Bytes> chunks = sender.send(payload);
   ASSERT_GT(chunks.size(), 2u);
   for (std::size_t i = 0; i < chunks.size(); ++i) {
     if (i == 1) continue;  // chunk 1 is lost forever (no retransmissions)
-    ASSERT_TRUE(receiver.receive_any(chunks[i]).ok());
+    ASSERT_TRUE(receiver.receive(chunks[i]).ok());
   }
   EXPECT_TRUE(receiver.has_pending_gaps());
 
@@ -381,13 +378,13 @@ TEST(TransferRecovery, LossBeyondRetryBudgetIsTypedError) {
     nacks_seen += receiver.take_due_nacks().size();
     clock.advance_ns(100'000'000);
   }
-  EXPECT_EQ(nacks_seen, ReceiverRecoveryConfig{}.max_nacks_per_gap);
+  EXPECT_EQ(nacks_seen, kNackBudget);
   ASSERT_FALSE(receiver.health().ok());
   EXPECT_EQ(receiver.health().error().code, ErrorCode::kUnavailable);
   EXPECT_EQ(receiver.recovery_stats().gaps_abandoned, 1u);
 
   // The stream is dead: further ingest reports the same typed error.
-  auto dead = receiver.receive_any(chunks[1]);
+  auto dead = receiver.receive(chunks[1]);
   ASSERT_FALSE(dead.ok());
   EXPECT_EQ(dead.error().code, ErrorCode::kUnavailable);
 }
@@ -396,12 +393,11 @@ TEST(TransferRecovery, NackBackoffRunsOnSimulatedTime) {
   const Bytes key(16, 0x44);
   SimClock clock;
   SecureTransferSender sender(key, 7, 64);
-  SecureTransferReceiver receiver(key, 7);
-  receiver.enable_recovery(clock);
+  SecureTransferReceiver receiver(key, 7, clock, kNackBudget);
 
   const std::vector<Bytes> chunks = sender.send(make_payload(1'000));
   ASSERT_GT(chunks.size(), 1u);
-  ASSERT_TRUE(receiver.receive_any(chunks.back()).ok());  // reveals the gaps
+  ASSERT_TRUE(receiver.receive(chunks.back()).ok());  // reveals the gaps
 
   // First NACK is due immediately; the next only after 1 ms of
   // *simulated* time — no amount of waiting in wall time changes that.

@@ -603,7 +603,7 @@ TEST(Flow, RecoversEveryPayloadOverLossyLink) {
   bigdata::FlowNode receiver(fabric, b, key, fc);
 
   std::vector<Bytes> got;
-  receiver.set_on_payload([&](net::NodeId from, Bytes p) {
+  receiver.set_on_payload([&](net::NodeId from, Bytes p, obs::TraceContext) {
     EXPECT_EQ(from, a);
     got.push_back(std::move(p));
   });
@@ -640,11 +640,12 @@ TEST(Flow, AbandonedGapSurfacesAsTypedFailure) {
   bigdata::FlowConfig fc;
   fc.chunk_size = 512;
   fc.retransmit_buffer_chunks = 1;  // retransmit requests will miss
-  fc.recovery.max_nacks_per_gap = 3;
+  fc.max_nacks_per_gap = 3;
   bigdata::FlowNode sender(fabric, a, key, fc);
   bigdata::FlowNode receiver(fabric, b, key, fc);
   std::vector<Bytes> got;
-  receiver.set_on_payload([&](net::NodeId, Bytes p) { got.push_back(std::move(p)); });
+  receiver.set_on_payload(
+      [&](net::NodeId, Bytes p, obs::TraceContext) { got.push_back(std::move(p)); });
 
   // Lose chunk 0; with a one-chunk retransmit buffer the sender cannot
   // repair it, so the receiver's NACK budget exhausts and the stream
@@ -680,7 +681,7 @@ TEST(Flow, DepthGaugesTrackBacklogAndDrainToZero) {
   bigdata::FlowNode receiver(fabric, b, key, fc);
   obs::Registry sender_obs;
   sender.set_obs(&sender_obs);
-  receiver.set_on_payload([](net::NodeId, Bytes) {});
+  receiver.set_on_payload([](net::NodeId, Bytes, obs::TraceContext) {});
 
   // Lose the first chunk: the other seven arrive out of order and must
   // sit in the receiver's reorder buffer until the NACK repairs the gap.
@@ -724,7 +725,7 @@ TEST(Flow, QuiesceStopsCountersAndNotifiesPeers) {
   const Bytes key(16, 0x77);
   bigdata::FlowNode sender(fabric, a, key);
   bigdata::FlowNode receiver(fabric, b, key);
-  receiver.set_on_payload([](net::NodeId, Bytes) {});
+  receiver.set_on_payload([](net::NodeId, Bytes, obs::TraceContext) {});
   ASSERT_TRUE(sender.send(b, patterned(2000, 3)).ok());
   fabric.run_until_idle();
   ASSERT_EQ(receiver.stats().payloads_delivered, 1u);
@@ -753,6 +754,94 @@ TEST(Flow, QuiesceStopsCountersAndNotifiesPeers) {
   // Abandoning the dead peer clears the sender's health.
   sender.abandon_peer(b);
   EXPECT_TRUE(sender.health().ok());
+}
+
+// The chunk envelope's high-water mark and a kBeacon's value sit outside
+// the AEAD. A host that forges either must not size the receiver's gap
+// table: one forged frame costs at most the reorder window in gaps, and
+// the window times the NACK budget in NACKs.
+TEST(Flow, ForgedHighWaterMarkCannotSizeTheGapTable) {
+  const std::size_t window = bigdata::SecureTransferReceiver::kMaxBufferedChunks;
+  const bigdata::FlowConfig fc;
+  // Small value first: a receiver without the bound fails on the count
+  // here, before the 2^40 case could exhaust memory.
+  for (const std::uint64_t forged_mark : {std::uint64_t{16} * window, std::uint64_t{1} << 40}) {
+    for (const bool as_beacon : {false, true}) {
+      SCOPED_TRACE(std::to_string(forged_mark) + (as_beacon ? " beacon" : " envelope"));
+      SimClock clock;
+      net::Fabric fabric(clock);
+      const net::NodeId a = fabric.add_node("a");
+      const net::NodeId b = fabric.add_node("b");
+      ASSERT_TRUE(fabric.connect(a, b).ok());
+      bigdata::FlowNode sender(fabric, a, Bytes(16, 0x3C), fc);
+      bigdata::FlowNode receiver(fabric, b, Bytes(16, 0x3C), fc);
+      receiver.set_on_payload([](net::NodeId, Bytes, obs::TraceContext) {
+        ADD_FAILURE() << "a forged frame delivered a payload";
+      });
+
+      // One frame "from" a: a beacon (kBeacon = 3), or a chunk envelope
+      // whose 40-byte chunk fails the AEAD.
+      Bytes forged;
+      if (as_beacon) {
+        put_u8(forged, 3);
+        put_u64(forged, forged_mark);
+      } else {
+        put_u64(forged, forged_mark);
+        obs::put_trace_context(forged, {});
+        put_blob(forged, Bytes(40, 0x5C));
+      }
+      ASSERT_TRUE(fabric
+                      .send(a, b, as_beacon ? fc.control_channel : fc.chunk_channel,
+                            std::move(forged))
+                      .ok());
+
+      // The first timer round NACKs every registered gap at once.
+      while (receiver.stats().nacks_sent == 0 && fabric.run_until_idle(1) > 0) {
+      }
+      ASSERT_GT(receiver.stats().nacks_sent, 0u);
+      ASSERT_LE(receiver.stats().nacks_sent, window);
+      fabric.run_until_idle();
+      ASSERT_LE(receiver.stats().nacks_sent, window * fc.max_nacks_per_gap);
+      // Nothing the sender holds can fill the gaps, so the stream dies
+      // typed and the fabric idles.
+      EXPECT_EQ(receiver.health().error().code, ErrorCode::kUnavailable);
+      EXPECT_TRUE(fabric.idle());
+    }
+  }
+}
+
+// Acks are unauthenticated too: a forged cumulative ack past everything
+// sent must not wrap the in-flight depth.
+TEST(Flow, ForgedAckCannotWrapInFlightDepth) {
+  SimClock clock;
+  net::Fabric fabric(clock);
+  const net::NodeId a = fabric.add_node("a");
+  const net::NodeId b = fabric.add_node("b");
+  ASSERT_TRUE(fabric.connect(a, b).ok());
+  const bigdata::FlowConfig fc;
+  bigdata::FlowNode sender(fabric, a, Bytes(16, 0x3D), fc);
+  bigdata::FlowNode receiver(fabric, b, Bytes(16, 0x3D), fc);
+  obs::Registry sender_obs;
+  sender.set_obs(&sender_obs);
+  std::vector<Bytes> got;
+  receiver.set_on_payload(
+      [&](net::NodeId, Bytes p, obs::TraceContext) { got.push_back(std::move(p)); });
+
+  const Bytes payload = patterned(20'000, 4);
+  ASSERT_TRUE(sender.send(b, payload).ok());
+  const std::uint64_t launched = sender.stats().chunks_sent;
+  ASSERT_GT(launched, 1u);
+  // An ack (kAck = 2) "from" b, 1000 chunks past the sender's high water.
+  Bytes forged;
+  put_u8(forged, 2);
+  put_u64(forged, launched + 1000);
+  ASSERT_TRUE(fabric.send(b, a, fc.control_channel, std::move(forged)).ok());
+  fabric.run_until_idle();
+
+  EXPECT_EQ(got, std::vector<Bytes>{payload});
+  EXPECT_EQ(sender.stats().chunks_in_flight, 0u);
+  EXPECT_EQ(sender.peer_depth(b).in_flight, 0u);
+  EXPECT_EQ(sender_obs.gauge("net_flow_chunks_in_flight").value(), 0);
 }
 
 TEST(Flow, BeaconThresholdDetectsSilentPeer) {
@@ -1213,7 +1302,7 @@ TEST(Flow, TraceContextSurvivesChunkingAndLoss) {
   bigdata::FlowNode receiver(fabric, b, key, fc);
 
   std::vector<obs::TraceContext> seen;
-  receiver.set_on_payload_ctx(
+  receiver.set_on_payload(
       [&](net::NodeId, Bytes, obs::TraceContext ctx) { seen.push_back(ctx); });
 
   faults.arm(FaultKind::kNetLoss, FaultArm{.probability = 0.4, .max_fires = 6});
@@ -1373,7 +1462,7 @@ std::string run_postmortem_job(std::size_t threads) {
   // blackout would beacon forever).
   config.cluster.flow.chunk_size = 256;
   config.cluster.flow.retransmit_buffer_chunks = 1;
-  config.cluster.flow.recovery.max_nacks_per_gap = 3;
+  config.cluster.flow.max_nacks_per_gap = 3;
   // This test *wants* the typed failure: recovery would re-execute the
   // lost task and rescue the job.
   config.recovery.enabled = false;

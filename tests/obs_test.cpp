@@ -414,7 +414,8 @@ std::string run_workload(std::size_t threads) {
     bigdata::SecureTransferSender sender(Bytes(16, 0x31), 1, 4 * 1024);
     sender.set_pool(p);
     sender.set_obs(&registry);
-    bigdata::SecureTransferReceiver receiver(Bytes(16, 0x31), 1);
+    SimClock clock;
+    bigdata::SecureTransferReceiver receiver(Bytes(16, 0x31), 1, clock, 8);
     receiver.set_obs(&registry);
 
     Bytes payload;
@@ -423,8 +424,15 @@ std::string run_workload(std::size_t threads) {
       lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
       payload.push_back(static_cast<std::uint8_t>(lcg >> 33));
     }
-    auto back = receiver.receive_all(sender.send(payload), p);
-    EXPECT_TRUE(back.ok());
+    std::vector<Bytes> back;
+    for (const Bytes& chunk : sender.send(payload)) {
+      auto got = receiver.receive(chunk);
+      EXPECT_TRUE(got.ok());
+      if (got.ok()) {
+        for (Bytes& delivered : *got) back.push_back(std::move(delivered));
+      }
+    }
+    EXPECT_EQ(back, std::vector<Bytes>{payload});
   }
 
   // --- secure KV store (serial) -----------------------------------------

@@ -186,22 +186,29 @@ TEST(Robustness, KvStoreEmptyValueRoundTrip) {
 }
 
 TEST(Robustness, TransferEmptyPayload) {
+  SimClock clock;
   bigdata::SecureTransferSender sender(Bytes(16, 2), 9);
-  bigdata::SecureTransferReceiver receiver(Bytes(16, 2), 9);
+  bigdata::SecureTransferReceiver receiver(Bytes(16, 2), 9, clock, 8);
   const auto chunks = sender.send({});
   ASSERT_EQ(chunks.size(), 1u);  // single (empty) final chunk
   auto r = receiver.receive(chunks[0]);
   ASSERT_TRUE(r.ok());
-  ASSERT_TRUE(r->has_value());
-  EXPECT_TRUE((*r)->empty());
+  ASSERT_EQ(r->size(), 1u);  // delivered once...
+  EXPECT_TRUE((*r)[0].empty());  // ...and empty
 }
 
 TEST(Robustness, TransferCrossStreamReplayRejected) {
+  SimClock clock;
   bigdata::SecureTransferSender sender_a(Bytes(16, 3), 1);
-  bigdata::SecureTransferReceiver receiver_b(Bytes(16, 3), 2);  // stream 2
+  bigdata::SecureTransferReceiver receiver_b(Bytes(16, 3), 2, clock, 8);  // stream 2
   const auto chunks = sender_a.send(Bytes(100, 0x11));
-  // Same key, wrong stream id: AAD binding rejects.
-  EXPECT_FALSE(receiver_b.receive(chunks[0]).ok());
+  // Same key, wrong stream id: AAD binding rejects, the chunk is dropped
+  // as corrupt and nothing is delivered.
+  auto r = receiver_b.receive(chunks[0]);
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r->empty());
+  EXPECT_EQ(receiver_b.recovery_stats().corrupt, 1u);
+  EXPECT_EQ(receiver_b.next_expected(), 0u);
 }
 
 // ----------------------------------------------------------- genpack edges

@@ -388,23 +388,21 @@ TEST(ParallelTransfer, PooledSendAndReceiveMatchSequential) {
   EXPECT_EQ(par_sender.stats().wire_bytes, seq_sender.stats().wire_bytes);
   EXPECT_EQ(par_sender.stats().chunks, seq_sender.stats().chunks);
 
-  // receive() loop and pooled receive_all agree.
-  bigdata::SecureTransferReceiver loop_receiver(Bytes(16, 0x31), 9);
-  Bytes loop_payload;
-  for (const auto& c : seq_chunks) {
-    auto got = loop_receiver.receive(c);
-    ASSERT_TRUE(got.ok());
-    if (got->has_value()) loop_payload = **got;
+  // Both chunk sets reassemble to the payload, once.
+  SimClock clock;
+  for (const auto* chunks : {&seq_chunks, &par_chunks}) {
+    bigdata::SecureTransferReceiver receiver(Bytes(16, 0x31), 9, clock, 8);
+    std::vector<Bytes> delivered;
+    for (const auto& c : *chunks) {
+      auto got = receiver.receive(c);
+      ASSERT_TRUE(got.ok());
+      for (Bytes& p : *got) delivered.push_back(std::move(p));
+    }
+    EXPECT_EQ(delivered, std::vector<Bytes>{payload});
   }
-  bigdata::SecureTransferReceiver batch_receiver(Bytes(16, 0x31), 9);
-  auto batch_payloads = batch_receiver.receive_all(par_chunks, &pool);
-  ASSERT_TRUE(batch_payloads.ok());
-  ASSERT_EQ(batch_payloads->size(), 1u);
-  EXPECT_EQ((*batch_payloads)[0], loop_payload);
-  EXPECT_EQ(loop_payload, payload);
 }
 
-TEST(ParallelTransfer, ReceiveAllRejectsTamperAndReorder) {
+TEST(ParallelTransfer, PooledChunksSurviveTamperAndReorder) {
   // Noise, so RLE cannot collapse the payload below several chunks.
   Bytes payload(300'000);
   std::uint64_t lcg = 41;
@@ -412,25 +410,41 @@ TEST(ParallelTransfer, ReceiveAllRejectsTamperAndReorder) {
     lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
     b = static_cast<std::uint8_t>(lcg >> 33);
   }
+  ThreadPool pool(4);
   bigdata::SecureTransferSender sender(Bytes(16, 0x31), 3);
+  sender.set_pool(&pool);
   auto chunks = sender.send(payload);
   ASSERT_GT(chunks.size(), 2u);
 
-  ThreadPool pool(4);
+  SimClock clock;
+  const auto deliver = [&](const std::vector<Bytes>& wire,
+                           bigdata::SecureTransferReceiver& receiver) {
+    std::vector<Bytes> delivered;
+    for (const auto& c : wire) {
+      auto got = receiver.receive(c);
+      EXPECT_TRUE(got.ok());
+      if (!got.ok()) break;
+      for (Bytes& p : *got) delivered.push_back(std::move(p));
+    }
+    return delivered;
+  };
   {
+    // A tampered chunk is dropped as corrupt; the payload waits on it.
     auto tampered = chunks;
     tampered[1][tampered[1].size() - 1] ^= 0x80;
-    bigdata::SecureTransferReceiver receiver(Bytes(16, 0x31), 3);
-    auto r = receiver.receive_all(tampered, &pool);
-    EXPECT_FALSE(r.ok());
+    bigdata::SecureTransferReceiver receiver(Bytes(16, 0x31), 3, clock, 8);
+    EXPECT_TRUE(deliver(tampered, receiver).empty());
+    EXPECT_EQ(receiver.recovery_stats().corrupt, 1u);
+    EXPECT_EQ(receiver.next_expected(), 1u);
+    EXPECT_TRUE(receiver.has_pending_gaps());
   }
   {
+    // A reordered stream delivers once, in order.
     auto reordered = chunks;
     std::swap(reordered[0], reordered[1]);
-    bigdata::SecureTransferReceiver receiver(Bytes(16, 0x31), 3);
-    auto r = receiver.receive_all(reordered, &pool);
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.error().code, ErrorCode::kProtocolError);
+    bigdata::SecureTransferReceiver receiver(Bytes(16, 0x31), 3, clock, 8);
+    EXPECT_EQ(deliver(reordered, receiver), std::vector<Bytes>{payload});
+    EXPECT_EQ(receiver.recovery_stats().buffered, 1u);
   }
 }
 
