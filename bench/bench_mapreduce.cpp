@@ -13,6 +13,7 @@
 #include <memory>
 
 #include "bench_json.hpp"
+#include "bigdata/codec.hpp"
 #include "bigdata/transfer.hpp"
 #include "common/thread_pool.hpp"
 #include "smartgrid/theft_detection.hpp"
@@ -178,10 +179,8 @@ int main(int argc, char** argv) {
   sender.set_pool(pool.get());
   sender.set_obs(&registry);
   const auto chunks = sender.send(batch);
-  std::printf("secure transfer: %zu plaintext bytes -> %zu wire bytes in %zu chunks "
-              "(compression %.2fx)\n",
-              sender.stats().plaintext_bytes, sender.stats().wire_bytes, chunks.size(),
-              sender.stats().compression_ratio());
+  std::printf("secure transfer: %zu plaintext bytes -> %zu wire bytes in %zu chunks\n",
+              sender.stats().plaintext_bytes, sender.stats().wire_bytes, chunks.size());
 
   benchutil::emit_bench_json("mapreduce", threads, registry);
   return 0;

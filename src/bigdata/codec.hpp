@@ -1,11 +1,10 @@
 // Codecs for "efficient transmission of large amounts of data" (§III-B).
 //
 // Smart-meter telemetry is highly compressible: consecutive readings
-// differ by small amounts and timestamps are near-regular. The transfer
-// layer therefore applies delta + zigzag + varint coding to integer
-// series and run-length coding to byte payloads before encryption
-// (ciphertext does not compress, so compression must happen inside the
-// enclave, before sealing).
+// differ by small amounts and timestamps are near-regular, so delta +
+// zigzag + varint coding shrinks an integer series several times over.
+// It runs on plaintext, before the bytes reach the transfer layer, which
+// seals them as given.
 #pragma once
 
 #include <cstdint>
@@ -35,12 +34,5 @@ inline std::int64_t zigzag_decode(std::uint64_t v) {
 /// Encodes a series as first value + deltas.
 Bytes encode_series(const std::vector<std::int64_t>& series);
 Result<std::vector<std::int64_t>> decode_series(ByteView wire);
-
-// --- byte payloads (run-length) --------------------------------------------
-
-/// Simple RLE: literal runs and repeat runs; worst-case expansion is
-/// bounded (~1/128 overhead on incompressible data).
-Bytes rle_compress(ByteView data);
-Result<Bytes> rle_decompress(ByteView wire);
 
 }  // namespace securecloud::bigdata

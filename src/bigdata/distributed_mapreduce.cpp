@@ -27,10 +27,27 @@ Bytes result_aad(std::size_t bundle) {
 constexpr std::uint64_t kEntropySeedBase = 0x5EED;
 constexpr std::size_t kFlightCapacity = 128;
 
+/// Consecutive unanswered beacons before a peer counts as dead
+/// (FlowConfig::beacon_death_threshold while recovery is on).
+constexpr std::size_t kBeaconDeathThreshold = 8;
+/// EPC-aware placement model: each worker node is a GenPack server with
+/// these capacities, each map task / reduce bundle a container with these
+/// demands. Replacement executors come out of EpcAwareBestFitScheduler
+/// over the surviving servers.
+constexpr double kWorkerCpuCores = 16.0;
+constexpr double kWorkerMemGb = 64.0;
+constexpr double kWorkerEpcMb = 93.0;  // usable SGX1 EPC
+constexpr double kTaskCpuCores = 1.0;
+constexpr double kTaskMemGb = 1.0;
+constexpr double kTaskEpcMb = 8.0;
+/// Telemetry monitor rollup window and ring depth (timeseries.hpp).
+constexpr std::uint64_t kTelemetryWindowCycles = 4'000'000;
+constexpr std::size_t kTelemetryRingCapacity = 64;
+
 DistributedMapReduceConfig with_recovery_knobs(DistributedMapReduceConfig config) {
   // Silent-death detection depends on the flow liveness machinery.
   if (config.recovery.enabled) {
-    config.cluster.flow.beacon_death_threshold = config.recovery.beacon_death_threshold;
+    config.cluster.flow.beacon_death_threshold = kBeaconDeathThreshold;
   }
   return config;
 }
@@ -340,8 +357,7 @@ Status DistributedMapReduce::setup(sgx::AttestationService& service) {
     // fires the flight pull while the job is still running.
     if (config_.telemetry.enabled) {
       monitor_ = std::make_unique<obs::TelemetryMonitor>(
-          obs::TelemetryMonitorConfig{config_.telemetry.window_cycles,
-                                      config_.telemetry.ring_capacity});
+          obs::TelemetryMonitorConfig{kTelemetryWindowCycles, kTelemetryRingCapacity});
       // Alert once the median worker has finished a task and a node
       // lags it by one.
       monitor_->add_detector(std::make_unique<obs::StragglerDriftDetector>(
@@ -1006,9 +1022,9 @@ genpack::ContainerSpec DistributedMapReduce::map_task_spec(
   genpack::ContainerSpec spec;
   spec.id = "map-" + std::to_string(task);
   spec.cls = genpack::ContainerClass::kBatch;
-  spec.cpu_cores = config_.recovery.task_cpu_cores;
-  spec.mem_gb = config_.recovery.task_mem_gb;
-  spec.epc_mb = config_.recovery.task_epc_mb;
+  spec.cpu_cores = kTaskCpuCores;
+  spec.mem_gb = kTaskMemGb;
+  spec.epc_mb = kTaskEpcMb;
   return spec;
 }
 
@@ -1017,17 +1033,17 @@ genpack::ContainerSpec DistributedMapReduce::bundle_spec(
   genpack::ContainerSpec spec;
   spec.id = "bundle-" + std::to_string(bundle);
   spec.cls = genpack::ContainerClass::kService;
-  spec.cpu_cores = config_.recovery.task_cpu_cores;
-  spec.mem_gb = config_.recovery.task_mem_gb;
-  spec.epc_mb = config_.recovery.task_epc_mb;
+  spec.cpu_cores = kTaskCpuCores;
+  spec.mem_gb = kTaskMemGb;
+  spec.epc_mb = kTaskEpcMb;
   return spec;
 }
 
 void DistributedMapReduce::reset_placement() {
   genpack::ServerConfig server_cfg;
-  server_cfg.cpu_capacity = config_.recovery.worker_cpu_cores;
-  server_cfg.mem_capacity = config_.recovery.worker_mem_gb;
-  server_cfg.epc_capacity = config_.recovery.worker_epc_mb;
+  server_cfg.cpu_capacity = kWorkerCpuCores;
+  server_cfg.mem_capacity = kWorkerMemGb;
+  server_cfg.epc_capacity = kWorkerEpcMb;
   placement_.clear();
   for (std::size_t w = 0; w < config_.num_workers; ++w) {
     placement_.emplace_back(w, server_cfg);
@@ -1167,10 +1183,8 @@ void DistributedMapReduce::handle_worker_death(std::size_t w) {
   // surviving session's record keys over the live fabric. Best effort —
   // a rekey that exhausts its retransmit budget re-enters this handler
   // for that peer via on_failure.
-  if (config_.recovery.rekey_on_recovery) {
-    for (std::size_t v = 0; v < config_.num_workers; ++v) {
-      if (worker_alive_[v]) (void)cluster_.session(kCoordinator, v + 1)->rehandshake();
-    }
+  for (std::size_t v = 0; v < config_.num_workers; ++v) {
+    if (worker_alive_[v]) (void)cluster_.session(kCoordinator, v + 1)->rehandshake();
   }
 }
 

@@ -34,8 +34,8 @@
 // death), or AttestedSession failure; recovery re-places the victim's
 // containers through EPC-aware GenPack bin-packing, re-sends its map
 // tasks, reassigns its reduce bundles (kAssign broadcast: peers resend
-// their cached produced blocks to the new owner), and optionally
-// rotates every surviving session's keys via rehandshake.
+// their cached produced blocks to the new owner), and rotates every
+// surviving session's keys via rehandshake.
 //
 // Speculative re-execution (SpeculationConfig, off by default): when all
 // but the stragglers have reported map-done, a deferred check launches
@@ -77,27 +77,12 @@ struct DistributedMapReduceConfig {
   std::uint64_t reduce_compute_ns_per_pair = 2'000;
 
   /// Worker-death recovery. When enabled, the driver arms the flow beacon
-  /// death threshold below and handshake retransmits on every session
+  /// death threshold and handshake retransmits on every session
   /// (EnclaveCluster::kSessionRetry), so setup and recovery-time rekeys
-  /// survive armed kNetLoss.
+  /// survive armed kNetLoss. The threshold and the placement model's
+  /// capacities are constants in distributed_mapreduce.cpp.
   struct RecoveryConfig {
     bool enabled = true;
-    /// Consecutive unanswered beacons before a peer counts as dead
-    /// (FlowConfig::beacon_death_threshold while recovery is on).
-    std::size_t beacon_death_threshold = 8;
-    /// Rotate every surviving session's keys when a worker dies (the
-    /// dead node's platform is presumed compromised).
-    bool rekey_on_recovery = true;
-    /// EPC-aware placement model: each worker node is a GenPack server
-    /// with these capacities, each map task / reduce bundle a container
-    /// with these demands. Replacement executors come out of
-    /// EpcAwareBestFitScheduler over the surviving servers.
-    double worker_cpu_cores = 16.0;
-    double worker_mem_gb = 64.0;
-    double worker_epc_mb = 93.0;  // usable SGX1 EPC
-    double task_cpu_cores = 1.0;
-    double task_mem_gb = 1.0;
-    double task_epc_mb = 8.0;
   };
   RecoveryConfig recovery;
 
@@ -124,9 +109,6 @@ struct DistributedMapReduceConfig {
     /// cap (or as soon as the job completes/fails), so the serial
     /// event loop still drains and genuine stalls stay detectable.
     std::size_t max_frames_per_run = 256;
-    /// Monitor rollup window / ring depth (timeseries.hpp).
-    std::uint64_t window_cycles = 4'000'000;
-    std::size_t ring_capacity = 64;
   };
   TelemetryConfig telemetry;
 };

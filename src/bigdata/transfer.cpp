@@ -1,5 +1,7 @@
 #include "bigdata/transfer.hpp"
 
+#include <utility>
+
 namespace securecloud::bigdata {
 
 namespace {
@@ -15,21 +17,19 @@ Bytes chunk_aad(std::uint32_t stream, std::uint64_t sequence, bool last) {
 
 std::vector<Bytes> SecureTransferSender::send(ByteView payload) {
   stats_.plaintext_bytes += payload.size();
-  const Bytes compressed = rle_compress(payload);
-  stats_.compressed_bytes += compressed.size();
 
   // Chunk boundaries and sequence numbers are pure functions of the
-  // compressed length, so the whole range is claimed up front and the
-  // seals fan out; chunk i's bytes never depend on when it was sealed.
+  // payload length, so the whole range is claimed up front and the seals
+  // fan out; chunk i's bytes never depend on when it was sealed.
   const std::size_t num_chunks =
-      compressed.empty() ? 1 : (compressed.size() + chunk_size_ - 1) / chunk_size_;
+      payload.empty() ? 1 : (payload.size() + chunk_size_ - 1) / chunk_size_;
   const std::uint64_t base_seq = sequence_;
   sequence_ += num_chunks;
 
   std::vector<Bytes> chunks(num_chunks);
   common::run_indexed(pool_, num_chunks, [&](std::size_t i) {
     const std::size_t offset = i * chunk_size_;
-    const std::size_t take = std::min(chunk_size_, compressed.size() - offset);
+    const std::size_t take = std::min(chunk_size_, payload.size() - offset);
     const bool last = i + 1 == num_chunks;
     const std::uint64_t seq = base_seq + i;
 
@@ -39,7 +39,7 @@ std::vector<Bytes> SecureTransferSender::send(ByteView payload) {
     put_u8(wire, last ? 1 : 0);
     gcm_.seal_combined(crypto::nonce_from_counter(seq, stream_id_),
                        chunk_aad(stream_id_, seq, last),
-                       ByteView(compressed.data() + offset, take), wire);
+                       payload.subspan(offset, take), wire);
     chunks[i] = std::move(wire);
   });
   std::size_t batch_wire_bytes = 0;
@@ -89,8 +89,7 @@ void SecureTransferReceiver::register_gaps_up_to(std::uint64_t sequence) {
   }
 }
 
-Result<std::vector<Bytes>> SecureTransferReceiver::apply_in_order(Bytes plain,
-                                                                  bool last) {
+std::vector<Bytes> SecureTransferReceiver::apply_in_order(Bytes plain, bool last) {
   // Applies the chunk at expected_, then every buffered successor that is
   // now in order.
   std::vector<Bytes> completed;
@@ -98,13 +97,12 @@ Result<std::vector<Bytes>> SecureTransferReceiver::apply_in_order(Bytes plain,
     ++recovery_stats_.accepted;
     obs_inc(obs_accepted_);
     ++expected_sequence_;
-    append(assembling_, plain);
-    if (last) {
-      auto payload = rle_decompress(assembling_);
-      assembling_.clear();
-      if (!payload.ok()) return payload.error();
-      completed.push_back(std::move(payload).value());
+    if (assembling_.empty()) {
+      assembling_ = std::move(plain);
+    } else {
+      append(assembling_, plain);
     }
+    if (last) completed.push_back(std::exchange(assembling_, {}));
     const auto next = out_of_order_.find(expected_sequence_);
     if (next == out_of_order_.end()) return completed;
     plain = std::move(next->second.plain);

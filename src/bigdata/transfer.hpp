@@ -1,18 +1,19 @@
-// Secure bulk data transfer: compress inside the enclave, then encrypt.
+// Secure bulk data transfer: seal the payload as given.
 //
-// Order matters: ciphertext is incompressible, so the compression step
-// must run on plaintext inside the protection boundary. The sender
-// chunks the compressed payload, seals each chunk with AES-GCM (nonce
+// The sender chunks the payload, seals each chunk with AES-GCM (nonce
 // and AAD bind stream id, sequence and last-flag) and keeps the sealed
-// chunks for retransmission. The receiver has one path, and it is loss
-// tolerant: it authenticates each chunk, drops corrupt and duplicate
-// ones, buffers reordered ones, NACKs the holes on simulated time, and
-// hands back payloads once, in order.
+// chunks for retransmission. Nothing is compressed, so the wire length
+// is a function of the payload length alone: the host that carries the
+// chunks learns nothing about how redundant the plaintext was. The
+// receiver has one path, and it is loss tolerant: it authenticates each
+// chunk, drops corrupt and duplicate ones, buffers reordered ones, NACKs
+// the holes on simulated time, and hands back payloads once, in order.
 #pragma once
 
 #include <map>
 
-#include "bigdata/codec.hpp"
+#include "common/bytes.hpp"
+#include "common/result.hpp"
 #include "common/sim_clock.hpp"
 #include "common/thread_pool.hpp"
 #include "crypto/gcm.hpp"
@@ -22,16 +23,8 @@ namespace securecloud::bigdata {
 
 struct TransferStats {
   std::size_t plaintext_bytes = 0;
-  std::size_t compressed_bytes = 0;
   std::size_t wire_bytes = 0;
   std::size_t chunks = 0;
-
-  double compression_ratio() const {
-    return compressed_bytes == 0
-               ? 1.0
-               : static_cast<double>(plaintext_bytes) /
-                     static_cast<double>(compressed_bytes);
-  }
 };
 
 class SecureTransferSender {
@@ -182,7 +175,7 @@ class SecureTransferReceiver {
   };
 
   void register_gaps_up_to(std::uint64_t sequence);
-  Result<std::vector<Bytes>> apply_in_order(Bytes plain, bool last);
+  std::vector<Bytes> apply_in_order(Bytes plain, bool last);
 
   crypto::AesGcm gcm_;
   std::uint32_t stream_id_;

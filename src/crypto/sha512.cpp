@@ -87,6 +87,8 @@ void Sha512::process_block(const std::uint8_t* block) {
 }
 
 void Sha512::update(ByteView data) {
+  // An empty view may carry a null pointer, which memcpy must not be given.
+  if (data.empty()) return;
   total_len_ += data.size();
   std::size_t offset = 0;
   if (buffer_len_ > 0) {

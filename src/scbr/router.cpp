@@ -114,42 +114,10 @@ Status ScbrRouter::provision(KeyService& keys) {
 }
 
 Result<SubscriptionId> ScbrRouter::subscribe(const std::string& client, ByteView wire) {
-  if (!provisioned_) return Error::unavailable("router not provisioned");
-  std::shared_ptr<const ClientCrypto> crypto;
-  {
-    auto clients = clients_.read();
-    auto it = clients->find(client);
-    if (it == clients->end()) {
-      return Error::permission_denied("unknown client: " + client);
-    }
-    crypto = it->second;
-  }
-
-  // Message processing happens inside the enclave: one transition.
-  enclave_.platform().clock().advance_cycles(enclave_.platform().cost().ecall_cycles);
-  SC_RETURN_IF_ERROR(check_freshness(client, wire));
-
-  auto plain = crypto->gcm.open_combined(crypto->sub_aad, wire);
-  if (!plain.ok()) {
-    ++metrics_.auth_failures;
-    if (obs_auth_failures_ != nullptr) obs_auth_failures_->inc();
-    return Error::integrity("subscription failed authentication for " + client);
-  }
-  auto filter = Filter::deserialize(*plain);
-  if (!filter.ok()) return filter.error();
-
-  const SubscriptionId id = next_id_++;
-  ++metrics_.subscriptions;
-  if (obs_subscriptions_ != nullptr) obs_subscriptions_->inc();
-  Filter parsed = std::move(filter).value();
-  engine_->subscribe(id, parsed);
-  auto sub = std::make_shared<const Subscription>(
-      Subscription{client, std::move(parsed), std::move(crypto)});
-  subscriptions_.update([&](SubscriptionTable& table) {
-    if (table.size() <= id) table.resize(id + 1);
-    table[id] = std::move(sub);
-  });
-  return id;
+  std::vector<SubscribeRequest> one;
+  one.push_back({client, Bytes(wire.begin(), wire.end())});
+  auto results = subscribe_batch(one, /*pool=*/nullptr);
+  return std::move(results.front());
 }
 
 std::vector<Result<SubscriptionId>> ScbrRouter::subscribe_batch(

@@ -109,7 +109,8 @@ class ScbrRouter {
   /// Completes provisioning against a key service (quote + key table).
   Status provision(KeyService& keys);
 
-  /// Handles an encrypted subscription from `client`.
+  /// Handles an encrypted subscription from `client`: a one-element
+  /// subscribe_batch.
   Result<SubscriptionId> subscribe(const std::string& client, ByteView wire);
 
   /// One subscription of a batch: who sent it and its encrypted wire form.
@@ -122,8 +123,8 @@ class ScbrRouter {
   /// and filter parse across `pool`. Admission (key lookup, anti-replay)
   /// and application (id assignment, metrics, engine insert, RCU table
   /// publish) run serially in batch order, so issued ids, metrics, and
-  /// the engine's containment forests are bit-identical to calling
-  /// subscribe() per element — at any thread count. Per-element failures
+  /// the engine's containment forests are bit-identical to one-element
+  /// batches in the same order — at any thread count. Per-element failures
   /// surface in the matching slot; they do not abort the batch.
   std::vector<Result<SubscriptionId>> subscribe_batch(
       const std::vector<SubscribeRequest>& batch, common::ThreadPool* pool = nullptr);
@@ -160,7 +161,7 @@ class ScbrRouter {
 
   /// Mirrors RouterMetrics into `scbr_*` metrics; with a tracer, each
   /// publish_batch emits a scbr.publish_batch span. Every RouterMetrics
-  /// bump site is in a serial phase of publish_batch (or in subscribe),
+  /// bump site is in a serial phase of publish_batch or subscribe_batch,
   /// so mirrored counters stay bit-identical across thread counts.
   void set_obs(obs::Registry* registry, obs::Tracer* tracer = nullptr);
 

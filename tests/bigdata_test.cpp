@@ -254,42 +254,6 @@ TEST(Codec, SeriesRejectsGarbage) {
   EXPECT_FALSE(decode_series(claims_many).ok());
 }
 
-TEST(Codec, RleRoundTripVariousShapes) {
-  Rng rng(2);
-  std::vector<Bytes> cases;
-  cases.push_back({});                       // empty
-  cases.push_back(Bytes(1, 7));              // single byte
-  cases.push_back(Bytes(10'000, 0xaa));      // one huge run
-  cases.push_back(to_bytes("abcdefgh"));     // all literals
-  Bytes random(5'000);
-  for (auto& b : random) b = static_cast<std::uint8_t>(rng.next());
-  cases.push_back(random);                   // incompressible
-  Bytes mixed;
-  for (int i = 0; i < 100; ++i) {
-    mixed.insert(mixed.end(), static_cast<std::size_t>(rng.uniform(20)) + 1,
-                 static_cast<std::uint8_t>(rng.next()));
-  }
-  cases.push_back(mixed);                    // mixed runs
-
-  for (const auto& data : cases) {
-    auto back = rle_decompress(rle_compress(data));
-    ASSERT_TRUE(back.ok());
-    EXPECT_EQ(*back, data);
-  }
-}
-
-TEST(Codec, RleCompressesRuns) {
-  const Bytes runs(100'000, 0x00);
-  EXPECT_LT(rle_compress(runs).size(), 2'000u);
-}
-
-TEST(Codec, RleBoundedExpansionOnRandomData) {
-  Rng rng(3);
-  Bytes random(100'000);
-  for (auto& b : random) b = static_cast<std::uint8_t>(rng.next());
-  EXPECT_LT(rle_compress(random).size(), random.size() + random.size() / 64 + 16);
-}
-
 // ---------------------------------------------------------------- Transfer
 
 constexpr std::size_t kNackBudget = 8;
@@ -322,7 +286,35 @@ TEST(Transfer, RoundTripMultiChunk) {
   EXPECT_GT(chunks.size(), 0u);
 
   EXPECT_EQ(deliver(receiver, chunks), std::vector<Bytes>{payload});
-  EXPECT_GT(sender.stats().compression_ratio(), 5.0);  // runs compress well
+}
+
+TEST(Transfer, WireLengthIndependentOfContent) {
+  // The host sees every chunk, so chunk count and sizes must be a
+  // function of the payload length alone: an all-zero payload and a
+  // random one of the same length look the same on the wire.
+  constexpr std::size_t kChunk = 1024;
+  // 8-byte sequence, 1-byte last flag, 12-byte nonce, 16-byte tag.
+  constexpr std::size_t kOverhead = 8 + 1 + 12 + 16;
+  const Bytes key(16, 0x45);
+  Rng rng(5);
+  for (const std::size_t length : {std::size_t{0}, std::size_t{1}, kChunk - 1, kChunk,
+                                   3 * kChunk + 5}) {
+    Bytes random(length);
+    for (auto& b : random) b = static_cast<std::uint8_t>(rng.next());
+    SecureTransferSender zero_sender(key, 1, kChunk);
+    SecureTransferSender random_sender(key, 1, kChunk);
+    const auto zero_chunks = zero_sender.send(Bytes(length, 0));
+    const auto random_chunks = random_sender.send(random);
+
+    const std::size_t expected_chunks = length == 0 ? 1 : (length + kChunk - 1) / kChunk;
+    ASSERT_EQ(zero_chunks.size(), expected_chunks) << "length " << length;
+    ASSERT_EQ(random_chunks.size(), expected_chunks) << "length " << length;
+    for (std::size_t i = 0; i < expected_chunks; ++i) {
+      const std::size_t take = std::min(kChunk, length - i * kChunk);
+      EXPECT_EQ(zero_chunks[i].size(), take + kOverhead) << "length " << length;
+      EXPECT_EQ(random_chunks[i].size(), take + kOverhead) << "length " << length;
+    }
+  }
 }
 
 TEST(Transfer, DetectsTamperedChunk) {

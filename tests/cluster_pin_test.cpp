@@ -119,14 +119,14 @@ void expect_pipeline_pins(const PipelinePin& pin) {
   EXPECT_EQ(pin.setup_stats,
             "sent=8 delivered=8 dropped=0 unhandled=0 frames=8 frames_dropped=0 "
             "dup=0 reordered=0 bytes=1302 bytes_delivered=1302 timers=4");
-  EXPECT_EQ(pin.wall_ns, 3208225u);
-  EXPECT_EQ(pin.run_now_ns, 9608361u);
+  EXPECT_EQ(pin.wall_ns, 3208332u);
+  EXPECT_EQ(pin.run_now_ns, 9608468u);
   EXPECT_EQ(pin.run_stats,
             "sent=258 delivered=258 dropped=0 unhandled=0 frames=258 frames_dropped=0 "
-            "dup=0 reordered=0 bytes=17862 bytes_delivered=17862 timers=98");
+            "dup=0 reordered=0 bytes=24086 bytes_delivered=24086 timers=98");
   EXPECT_DOUBLE_EQ(pin.sunk, 39800.0);
   EXPECT_EQ(pin.setup_log, "0b427602d9845c8d");
-  EXPECT_EQ(pin.run_log, "f14a43a34238dd94");
+  EXPECT_EQ(pin.run_log, "83edee502559b1a0");
 }
 
 TEST(ClusterPin, PipelinePerNode) { expect_pipeline_pins(run_pipeline(false)); }
@@ -211,12 +211,12 @@ void expect_overlay_pins(const OverlayPin& pin) {
             "dup=0 reordered=0 bytes=3230 bytes_delivered=3230 timers=10");
   EXPECT_EQ(pin.overlay_stats, "forwarded=12 suppressed=2 prunes=0 hops=7 deliveries=5");
   EXPECT_EQ(pin.deliveries, "0: 2/2 4/3 5/1;1: 2/2;2: 5/1;");
-  EXPECT_EQ(pin.run_now_ns, 17400673u);
+  EXPECT_EQ(pin.run_now_ns, 17400703u);
   EXPECT_EQ(pin.run_stats,
             "sent=58 delivered=58 dropped=0 unhandled=0 frames=58 frames_dropped=0 "
-            "dup=0 reordered=0 bytes=5499 bytes_delivered=5499 timers=20");
+            "dup=0 reordered=0 bytes=5700 bytes_delivered=5700 timers=20");
   EXPECT_EQ(pin.setup_log, "ad14f2641a416b57");
-  EXPECT_EQ(pin.run_log, "847fd063be92e56f");
+  EXPECT_EQ(pin.run_log, "0129f25bf20bbd05");
 }
 
 TEST(ClusterPin, OverlayPerNode) { expect_overlay_pins(run_overlay(false)); }
@@ -312,17 +312,17 @@ void expect_dmr_pins(const DmrPin& pin) {
   EXPECT_EQ(pin.setup_stats,
             "sent=16 delivered=16 dropped=0 unhandled=0 frames=16 frames_dropped=0 "
             "dup=0 reordered=0 bytes=2872 bytes_delivered=2872 timers=8");
-  EXPECT_EQ(pin.simulated_cycles, 1768492u);
+  EXPECT_EQ(pin.simulated_cycles, 1768549u);
   EXPECT_EQ(pin.output,
             "a=3 b=1 big=3 c=1 cannot=1 cloud=2 data=4 enclaves=1 host=1 in=1 is=2 "
             "not=1 read=1 runs=1 sealed=1 secure=1 stays=1 the=2 untrusted=1 ");
   EXPECT_EQ(pin.job_stats, "records=9 pairs=29 shuffle=793 transitions=8");
-  EXPECT_EQ(pin.run_now_ns, 13480692u);
+  EXPECT_EQ(pin.run_now_ns, 13480713u);
   EXPECT_EQ(pin.run_stats,
             "sent=68 delivered=68 dropped=0 unhandled=0 frames=68 frames_dropped=0 "
-            "dup=0 reordered=0 bytes=6939 bytes_delivered=6939 timers=21");
+            "dup=0 reordered=0 bytes=7340 bytes_delivered=7340 timers=21");
   EXPECT_EQ(pin.setup_log, "130196260daa7784");
-  EXPECT_EQ(pin.run_log, "de232083c7fcbdce");
+  EXPECT_EQ(pin.run_log, "f3cc18bb1e3e8c18");
   EXPECT_EQ(pin.sealed_input, "7f3edb8dcf788dbc");
 }
 

@@ -246,31 +246,9 @@ TEST_P(TableFuzz, MatchesReferenceModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TableFuzz, ::testing::Values(41, 42, 43, 44));
 
-// ------------------------------------------------ RLE + series codec fuzz
+// ------------------------------------------------------ series codec fuzz
 
 class CodecFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(CodecFuzz, RleRoundTripsArbitraryShapes) {
-  Rng rng(GetParam());
-  for (int trial = 0; trial < 60; ++trial) {
-    Bytes data;
-    const std::size_t segments = rng.uniform(20);
-    for (std::size_t s = 0; s < segments; ++s) {
-      if (rng.chance(0.5)) {
-        data.insert(data.end(), rng.uniform(400) + 1,
-                    static_cast<std::uint8_t>(rng.next()));  // run
-      } else {
-        const std::size_t n = rng.uniform(200) + 1;  // noise
-        for (std::size_t i = 0; i < n; ++i) {
-          data.push_back(static_cast<std::uint8_t>(rng.next()));
-        }
-      }
-    }
-    auto back = bigdata::rle_decompress(bigdata::rle_compress(data));
-    ASSERT_TRUE(back.ok());
-    ASSERT_EQ(*back, data) << "trial " << trial;
-  }
-}
 
 TEST_P(CodecFuzz, SeriesRoundTripsArbitraryWalks) {
   Rng rng(GetParam() + 99);
@@ -294,7 +272,6 @@ TEST_P(CodecFuzz, DecompressorSurvivesGarbage) {
   for (int trial = 0; trial < 200; ++trial) {
     Bytes garbage(rng.uniform(100));
     for (auto& b : garbage) b = static_cast<std::uint8_t>(rng.next());
-    (void)bigdata::rle_decompress(garbage);
     (void)bigdata::decode_series(garbage);
   }
   SUCCEED();
