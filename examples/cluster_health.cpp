@@ -6,13 +6,13 @@
 // over its attested flow to the coordinator's TelemetryMonitor, whose
 // straggler-drift detector compares per-node task progress against the
 // cluster median. The moment worker-1 falls behind, the monitor raises
-// a typed alert and pulls that node's flight-recorder ring over the
-// obs channel — a live postmortem captured mid-job, not after the
-// fact. The sc-top dashboard and the alert log print at the end.
+// a typed alert and copies that node's flight-recorder ring — a live
+// postmortem captured mid-job, not after the fact. The sc-top
+// dashboard and the alert log print at the end.
 //
 // The scenario holds iff (a) exactly the straggler was named by a
-// straggler_drift alert, (b) the alert-triggered flight pull returned
-// worker-1's ring, and (c) the job still produced output. Exits
+// straggler_drift alert, (b) the alert captured worker-1's flight
+// ring, and (c) the job still produced output. Exits
 // nonzero otherwise.
 //
 // Build & run:  ./build/examples/cluster_health
@@ -122,14 +122,14 @@ int main() {
     return 1;
   }
 
-  // (b) The alert fired mid-job and pulled worker-1's flight ring.
+  // (b) The alert fired mid-job and captured worker-1's flight ring.
   const auto& postmortems = driver.alert_postmortems();
   auto it = postmortems.find("worker-1");
   if (it == postmortems.end() || it->second.flight.empty()) {
-    std::printf("FAIL: alert did not pull worker-1's flight ring\n");
+    std::printf("FAIL: alert did not capture worker-1's flight ring\n");
     return 1;
   }
-  std::printf("postmortem: pulled %zu flight events from worker-1 mid-job\n",
+  std::printf("postmortem: captured %zu flight events from worker-1 mid-job\n",
               it->second.flight.size());
 
   std::printf("\nOK: straggler named, flight ring captured, job completed\n");

@@ -3,10 +3,10 @@
 // A coordinator fans an encrypted word-count job over three worker
 // enclaves connected by the simulated cluster fabric. Worker 1 is a
 // straggler — its node computes 4x slower. Every node records its own
-// metrics, spans, and flight-recorder events; the coordinator collects
-// the per-node snapshots over the fabric, merges them into one
-// node-labelled trace, and runs critical-path analysis joined against
-// the fabric's link-delivery log.
+// metrics, spans, and flight-recorder events; the driver collects the
+// per-node snapshots, merges them into one node-labelled trace, and
+// runs critical-path analysis joined against the fabric's link-delivery
+// log.
 //
 // The scenario holds iff the analyzer *names* the straggler: the
 // dominant node of the job's critical path must be worker-1, with its

@@ -15,6 +15,11 @@ than its bound is marked, but this is a record trail, not a gate: the exit
 status is 0 whenever something was compared. Perf claims still need
 alternating parent/change pairs.
 
+Files recorded at different times may also differ because the host did.
+The probes of code a change rarely touches (HOST_PROBES, in the --trace 1
+records) are compared first: when any of them moved by more than
+HOST_DRIFT (25%), one "host drift suspected" line precedes the ratios.
+
 Raw bench binaries: the stdout of bench_net_fabric, bench_scbr_matching, ...
 Lines that parse as JSON objects with a "bench" key are bench records;
 everything else (google-benchmark tables, trace documents) is ignored.
@@ -33,6 +38,10 @@ import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Per-layer crypto probes that time fixed work in code outside the apps.
+HOST_PROBES = ("crypto.sha256_MBps", "crypto.x25519_us", "crypto.ed25519_verify_us")
+HOST_DRIFT = 0.25
 
 
 def load_perf_records(path):
@@ -66,9 +75,32 @@ def load_perf_records(path):
     return records
 
 
+def host_drift(base, head):
+    """Returns "workload probe xRATIO" for every host probe that moved by
+    more than HOST_DRIFT between the two sides' --trace 1 records."""
+    moved = []
+    for workload, trace in sorted(set(base) & set(head)):
+        if trace != 1:
+            continue
+        base_metrics = base[(workload, trace)]["metrics"]
+        head_metrics = head[(workload, trace)]["metrics"]
+        for name in HOST_PROBES:
+            if name not in base_metrics or name not in head_metrics:
+                continue
+            old = base_metrics[name]["value"]
+            new = head_metrics[name]["value"]
+            if old and abs(new / old - 1) > HOST_DRIFT:
+                moved.append(f"{workload} {name} x{new / old:.3f}")
+    return moved
+
+
 def compare_perf(base, head, spec_path):
     with open(spec_path) as f:
         bounds = {m["name"]: m for m in json.load(f)["end_to_end"]}
+    moved = host_drift(base, head)
+    if moved:
+        print(f"host drift suspected: probes of untouched code moved more than "
+              f"{HOST_DRIFT:.0%} ({'; '.join(moved)})")
     compared = 0
     for identity in sorted(set(base) & set(head)):
         workload, trace = identity

@@ -155,70 +155,7 @@ void DistributedMapReduce::note_coordinator_flight(const char* category,
 }
 
 Result<obs::ClusterSnapshot> DistributedMapReduce::collect_cluster_snapshot() {
-  if (!cluster_obs_ || coordinator_obs() == nullptr) {
-    return Error::protocol("cluster obs mode was not enabled before setup()");
-  }
-  obs_replies_.clear();
-  for (auto& worker : workers_) {
-    if (!worker->alive) continue;  // dead hosts answer nothing
-    Bytes req;
-    put_u8(req, kObsSnapshotReq);
-    SC_RETURN_IF_ERROR(
-        fabric_.send(coordinator_node_, worker->node, kObsChannel, std::move(req)));
-  }
-  fabric_.run_until_idle();
-  std::vector<obs::NodeSnapshot> nodes;
-  nodes.push_back(coordinator_obs()->snapshot());
-  for (auto& snap : obs_replies_) nodes.push_back(std::move(snap));
-  obs_replies_.clear();
-  return obs::merge_snapshots(std::move(nodes));
-}
-
-std::string DistributedMapReduce::collect_flight_postmortem() {
-  obs_replies_.clear();
-  for (auto& worker : workers_) {
-    if (!worker->alive) continue;
-    Bytes req;
-    put_u8(req, kObsFlightReq);
-    // Best effort: a worker the fabric cannot reach is simply absent
-    // from the dump (its absence is itself a deterministic symptom).
-    (void)fabric_.send(coordinator_node_, worker->node, kObsChannel, std::move(req));
-  }
-  fabric_.run_until_idle();
-  std::vector<obs::NodeSnapshot> nodes;
-  obs::NodeSnapshot coordinator;
-  coordinator.node = coordinator_obs()->node;
-  coordinator.flight = coordinator_obs()->flight.events();
-  coordinator.flight_total = coordinator_obs()->flight.total_recorded();
-  nodes.push_back(std::move(coordinator));
-  for (auto& snap : obs_replies_) nodes.push_back(std::move(snap));
-  obs_replies_.clear();
-  return obs::merge_snapshots(std::move(nodes)).to_flight_json();
-}
-
-void DistributedMapReduce::worker_on_obs_message(Worker& worker,
-                                                 const net::Message& message) {
-  if (!worker.alive) return;
-  ByteReader r(message.payload);
-  std::uint8_t type = 0;
-  obs::NodeObs* onode = worker_obs(worker.index);
-  if (!r.get_u8(type) || !r.done() || onode == nullptr) return;
-  obs::NodeSnapshot snap;
-  std::uint8_t reply_type = kObsReply;
-  if (type == kObsSnapshotReq) {
-    snap = onode->snapshot();
-  } else if (type == kObsFlightReq || type == kObsAlertPullReq) {
-    snap.node = onode->node;
-    snap.flight = onode->flight.events();
-    snap.flight_total = onode->flight.total_recorded();
-    if (type == kObsAlertPullReq) reply_type = kObsAlertReply;
-  } else {
-    return;
-  }
-  Bytes wire;
-  put_u8(wire, reply_type);
-  put_blob(wire, obs::serialize_node_snapshot(snap));
-  (void)fabric_.send(worker.node, message.src, kObsChannel, std::move(wire));
+  return cluster_.snapshot();
 }
 
 // --- telemetry plane ------------------------------------------------------
@@ -267,27 +204,15 @@ void DistributedMapReduce::on_telemetry_alert(const obs::Alert& alert) {
   note_coordinator_flight(
       "telemetry_alert",
       alert.detector + " node=" + alert.node + " metric=" + alert.metric);
-  // Answer the alert with an immediate flight pull from the offending
-  // node, over the raw obs channel (it works even when the data plane
-  // is the thing that degraded).
-  for (auto& worker : workers_) {
-    const obs::NodeObs* onode = worker_obs(worker->index);
+  // Answer the alert with a copy of the named node's flight ring, taken
+  // while the job still runs: a live postmortem, not an end-of-run autopsy.
+  for (std::size_t i = 0; i < cluster_.size(); ++i) {
+    const obs::NodeObs* onode = cluster_.node_obs(i);
     if (onode == nullptr || onode->node != alert.node) continue;
-    if (!worker->alive) return;
-    Bytes req;
-    put_u8(req, kObsAlertPullReq);
-    (void)fabric_.send(coordinator_node_, worker->node, kObsChannel,
-                       std::move(req));
+    alert_postmortems_[onode->node] = {.node = onode->node,
+                                       .flight = onode->flight.events(),
+                                       .flight_total = onode->flight.total_recorded()};
     return;
-  }
-  // Alert on the coordinator itself: store its ring directly.
-  if (const obs::NodeObs* coordinator = coordinator_obs();
-      coordinator != nullptr && coordinator->node == alert.node) {
-    obs::NodeSnapshot snap;
-    snap.node = coordinator->node;
-    snap.flight = coordinator->flight.events();
-    snap.flight_total = coordinator->flight.total_recorded();
-    alert_postmortems_[snap.node] = std::move(snap);
   }
 }
 
@@ -322,39 +247,9 @@ Status DistributedMapReduce::setup(sgx::AttestationService& service) {
   if (cluster_obs_) {
     // Driver counters and the job span live on the coordinator node.
     set_obs(cluster_.registry(kCoordinator), cluster_.tracer(kCoordinator));
-    // Obs collection plane: a raw fabric channel, deliberately independent
-    // of sessions and flows so postmortems work after the data plane died.
-    SC_RETURN_IF_ERROR(fabric_.set_handler(
-        coordinator_node_, kObsChannel, [this](const net::Message& m) {
-          ByteReader r(m.payload);
-          std::uint8_t type = 0;
-          Bytes blob;
-          if (!r.get_u8(type) ||
-              (type != kObsReply && type != kObsAlertReply) ||
-              !r.get_blob(blob) || !r.done()) {
-            return;
-          }
-          auto snap = obs::deserialize_node_snapshot(blob);
-          if (!snap.ok()) return;
-          if (type == kObsAlertReply) {
-            // Alert-triggered pulls land in their own store so a mid-job
-            // pull never pollutes a concurrent collect_*'s reply buffer.
-            alert_postmortems_[snap->node] = std::move(*snap);
-          } else {
-            obs_replies_.push_back(std::move(*snap));
-          }
-        }));
-    for (auto& worker : workers_) {
-      Worker* worker_ptr = worker.get();
-      SC_RETURN_IF_ERROR(fabric_.set_handler(
-          worker->node, kObsChannel, [this, worker_ptr](const net::Message& m) {
-            worker_on_obs_message(*worker_ptr, m);
-          }));
-    }
-
     // Telemetry plane: per-node delta samplers + the coordinator-side
     // monitor with its straggler detector. The monitor's alert hook
-    // fires the flight pull while the job is still running.
+    // copies the named node's flight ring while the job is still running.
     if (config_.telemetry.enabled) {
       monitor_ = std::make_unique<obs::TelemetryMonitor>(
           obs::TelemetryMonitorConfig{kTelemetryWindowCycles, kTelemetryRingCapacity});
@@ -1281,9 +1176,11 @@ Result<JobResult> DistributedMapReduce::run(
   }
   const auto fail = [this](Error error) -> Error {
     bump(obs_job_failures_);
-    // Typed failure: capture every reachable node's flight-recorder ring
-    // alongside the error (the deterministic postmortem).
-    if (cluster_obs_ && coordinator_obs()) postmortem_ = collect_flight_postmortem();
+    // Typed failure: capture every node's flight-recorder ring alongside
+    // the error (the deterministic postmortem). Shared mode has no rings.
+    if (auto snapshot = cluster_.snapshot(); snapshot.ok()) {
+      postmortem_ = snapshot->to_flight_json();
+    }
     return error;
   };
 

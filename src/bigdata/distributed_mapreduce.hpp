@@ -99,8 +99,8 @@ struct DistributedMapReduceConfig {
   /// node samples its NodeObs on a fabric timer into delta-encoded,
   /// sequence-numbered frames streamed to the coordinator's
   /// TelemetryMonitor over the worker's attested flow; the monitor
-  /// runs anomaly detectors and answers alerts with an on-demand
-  /// flight-recorder pull from the offending node (kObsAlertPullReq).
+  /// runs anomaly detectors and answers each alert with a copy of the
+  /// named node's flight-recorder ring (alert_postmortems()).
   struct TelemetryConfig {
     bool enabled = false;
     /// Fabric time between samples on each node.
@@ -196,18 +196,15 @@ class DistributedMapReduce {
   obs::NodeObs* coordinator_obs() { return node_obs(kCoordinator); }
   obs::NodeObs* worker_obs(std::size_t w) { return node_obs(w + 1); }
 
-  /// Collects every worker's NodeSnapshot over the fabric (obs channel
-  /// request/reply), adds the coordinator's local snapshot, and merges
-  /// them (sorted by node name). Deterministic for a fixed seed: all
-  /// snapshots are taken inside the serial event loop. Requires
-  /// cluster-obs mode and a completed setup(). Workers whose reply the
-  /// (possibly still fault-armed) fabric eats — and dead workers — are
-  /// simply absent.
+  /// Every node's bundle merged (EnclaveCluster::snapshot(), sorted by
+  /// node name), dead workers included. Sends nothing on the fabric and
+  /// leaves its clock alone. kProtocol without cluster-obs mode or
+  /// before setup().
   Result<obs::ClusterSnapshot> collect_cluster_snapshot();
 
-  /// Flight-recorder dump (securecloud.flight.v2 across all reachable
-  /// nodes) captured automatically when run() returns a typed error in
-  /// cluster-obs mode; empty until a failure happened.
+  /// Flight-recorder dump (securecloud.flight.v2 across every node)
+  /// captured when run() returns a typed error in cluster-obs mode;
+  /// empty until a failure happened.
   const std::string& last_postmortem() const { return postmortem_; }
 
   /// The live monitor (telemetry config + cluster-obs mode, built in
@@ -216,10 +213,9 @@ class DistributedMapReduce {
   obs::TelemetryMonitor* telemetry_monitor() { return monitor_.get(); }
   const obs::TelemetryMonitor* telemetry_monitor() const { return monitor_.get(); }
 
-  /// Flight-ring snapshots pulled from nodes named by alerts (node name
-  /// -> flight-only NodeSnapshot), in alert order. The pull runs over
-  /// the raw obs channel the moment the alert fires, while the job is
-  /// still in flight — a live postmortem, not an end-of-run autopsy.
+  /// Flight rings of the nodes named by alerts (node name -> flight-only
+  /// NodeSnapshot). Each is copied the moment its alert fires, while the
+  /// job is still in flight.
   const std::map<std::string, obs::NodeSnapshot>& alert_postmortems() const {
     return alert_postmortems_;
   }
@@ -248,16 +244,6 @@ class DistributedMapReduce {
   static constexpr std::uint8_t kTelemetry = 7;
   /// Nonce domain for sealed worker->coordinator result blocks.
   static constexpr std::uint32_t kResultDomain = 0x4452534c;  // "DRSL"
-  /// Raw fabric channel for obs snapshot collection (no session/flow —
-  /// must work even after the data plane died, for postmortems).
-  static constexpr std::uint32_t kObsChannel = 9;
-  static constexpr std::uint8_t kObsSnapshotReq = 1;
-  static constexpr std::uint8_t kObsFlightReq = 2;
-  static constexpr std::uint8_t kObsReply = 3;
-  /// Alert-triggered flight pull: distinct types so a mid-job pull
-  /// cannot pollute the collect_* reply buffer.
-  static constexpr std::uint8_t kObsAlertPullReq = 4;
-  static constexpr std::uint8_t kObsAlertReply = 5;
 
   /// One map task being executed (or cancelled) on a worker. Keyed by
   /// the *logical* task id — a worker can hold several after recovery.
@@ -346,8 +332,6 @@ class DistributedMapReduce {
   void worker_apply_assignment(Worker& worker, ByteView body);
   void worker_fail(Worker& worker, Error error);
   void coordinator_on_flow_payload(net::NodeId from, Bytes payload);
-  void worker_on_obs_message(Worker& worker, const net::Message& message);
-  std::string collect_flight_postmortem();
 
   // --- telemetry plane ---
   /// False once the job completed or failed: ticks stop re-arming so
@@ -428,9 +412,6 @@ class DistributedMapReduce {
   std::vector<PendingKill> pending_kills_;
 
   bool cluster_obs_ = false;
-  /// Snapshot replies collected during collect_cluster_snapshot() /
-  /// postmortem collection (delivery order; merge re-sorts by name).
-  std::vector<obs::NodeSnapshot> obs_replies_;
   std::string postmortem_;
 
   // Telemetry plane (cluster-obs + telemetry.enabled).

@@ -203,9 +203,9 @@ void FlowNode::on_control(const net::Message& message) {
         send_chunk(message.src, it->second.chunks_sent, *wire,
                    it->second.last_trace);
       }
-      // kNotFound: evicted from the retransmit buffer. The receiver's
-      // NACK budget will exhaust and surface kUnavailable — the typed
-      // failure path, tested with a tiny buffer.
+      // kNotFound: acked or evicted from the retransmit buffer. The
+      // receiver's NACK budget will exhaust and surface kUnavailable —
+      // the typed failure path, tested with a tiny buffer.
       return;
     }
     case kAck: {
@@ -215,6 +215,7 @@ void FlowNode::on_control(const net::Message& message) {
       // in-flight depth.
       it->second.acked_through =
           std::max(it->second.acked_through, std::min(value, it->second.chunks_sent));
+      it->second.sender->acknowledge(it->second.acked_through);
       it->second.beacons_unanswered = 0;  // any ack proves liveness
       refresh_depth();
       return;

@@ -41,6 +41,8 @@ struct FlowConfig {
   /// test arms aggressive loss, and abandoning a gap kills the whole
   /// stream.
   std::size_t max_nacks_per_gap = 32;
+  /// Cap on the sealed chunks a stream keeps for NACK repair; an ack
+  /// retires the chunks below it sooner.
   std::size_t retransmit_buffer_chunks = 4096;
   /// Liveness: after this many consecutive beacons to one peer with no
   /// ack coming back, the peer is declared dead (outbound marked dead,

@@ -66,6 +66,10 @@ Result<Bytes> SecureTransferSender::retransmit(std::uint64_t sequence) const {
   return it->second;
 }
 
+void SecureTransferSender::acknowledge(std::uint64_t through) {
+  sent_.erase(sent_.begin(), sent_.lower_bound(through));
+}
+
 void SecureTransferSender::set_obs(obs::Registry* registry) {
   if (registry == nullptr) {
     obs_chunks_ = obs_plaintext_bytes_ = obs_wire_bytes_ = obs_retransmits_ = nullptr;

@@ -50,8 +50,11 @@ class SecureTransferSender {
   void set_pool(common::ThreadPool* pool) { pool_ = pool; }
 
   /// Returns the retained wire chunk for `sequence`; kNotFound once it
-  /// has been evicted.
+  /// has been evicted or acknowledged.
   Result<Bytes> retransmit(std::uint64_t sequence) const;
+  /// The receiver holds every sequence below `through`: drops them from
+  /// the retransmit buffer.
+  void acknowledge(std::uint64_t through);
 
   const TransferStats& stats() const { return stats_; }
 
@@ -66,7 +69,7 @@ class SecureTransferSender {
   std::uint64_t sequence_ = 0;
   TransferStats stats_;
   common::ThreadPool* pool_ = nullptr;
-  std::map<std::uint64_t, Bytes> sent_;  // seq -> wire, bounded FIFO by seq
+  std::map<std::uint64_t, Bytes> sent_;  // seq -> wire, unacked, bounded FIFO
 
   obs::Counter* obs_chunks_ = nullptr;
   obs::Counter* obs_plaintext_bytes_ = nullptr;

@@ -7,8 +7,6 @@ namespace securecloud::obs {
 
 namespace {
 
-constexpr std::uint32_t kSnapshotMagic = 0x4f425332;  // "OBS2"
-
 struct MergedSpan {
   const SpanRecord* span = nullptr;
   const std::string* node = nullptr;
@@ -101,127 +99,6 @@ NodeSnapshot NodeObs::snapshot() const {
   snap.spans = tracer.finished();
   snap.flight = flight.events();
   snap.flight_total = flight.total_recorded();
-  return snap;
-}
-
-Bytes serialize_node_snapshot(const NodeSnapshot& snap) {
-  Bytes out;
-  put_u32(out, kSnapshotMagic);
-  put_str(out, snap.node);
-
-  put_metric_map(out, snap.metrics.counters);
-  put_metric_map(out, snap.metrics.gauges);
-  put_u32(out, static_cast<std::uint32_t>(snap.metrics.histograms.size()));
-  for (const auto& [name, hist] : snap.metrics.histograms) {
-    put_str(out, name);
-    put_u64(out, hist.count);
-    put_u64(out, hist.sum);
-    put_u32(out, static_cast<std::uint32_t>(hist.buckets.size()));
-    for (const auto& [upper, count] : hist.buckets) {
-      put_u64(out, upper);
-      put_u64(out, count);
-    }
-  }
-
-  put_u32(out, static_cast<std::uint32_t>(snap.spans.size()));
-  for (const SpanRecord& s : snap.spans) {
-    put_u64(out, s.trace_id);
-    put_u64(out, s.span_id);
-    put_u64(out, s.parent_id);
-    put_str(out, s.name);
-    put_u64(out, s.start_cycles);
-    put_u64(out, s.end_cycles);
-    put_u32(out, static_cast<std::uint32_t>(s.attributes.size()));
-    for (const auto& [key, value] : s.attributes) {
-      put_str(out, key);
-      put_str(out, value);
-    }
-  }
-
-  put_u32(out, static_cast<std::uint32_t>(snap.flight.size()));
-  for (const FlightEvent& ev : snap.flight) {
-    put_u64(out, ev.seq);
-    put_u64(out, ev.at_cycles);
-    put_str(out, ev.category);
-    put_str(out, ev.detail);
-  }
-  put_u64(out, snap.flight_total);
-  return out;
-}
-
-Result<NodeSnapshot> deserialize_node_snapshot(ByteView wire) {
-  ByteReader in(wire);
-  const auto fail = [] {
-    return Error::protocol("node snapshot: truncated or malformed");
-  };
-  std::uint32_t magic = 0;
-  if (!in.get_u32(magic) || magic != kSnapshotMagic) return fail();
-
-  NodeSnapshot snap;
-  if (!in.get_str(snap.node)) return fail();
-
-  if (!get_metric_map(in, snap.metrics.counters) ||
-      !get_metric_map(in, snap.metrics.gauges)) {
-    return fail();
-  }
-  // Every count below is bounded by the smallest wire size of one entry
-  // (get_count), so a corrupt count never drives an allocation.
-  std::uint32_t n = 0;
-  // Histogram: empty name + count + sum + bucket count = 24 bytes.
-  if (!in.get_count(n, 24)) return fail();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string name;
-    HistogramSnapshot hist;
-    std::uint32_t buckets = 0;
-    if (!in.get_str(name) || !in.get_u64(hist.count) || !in.get_u64(hist.sum) ||
-        !in.get_count(buckets, 16)) {
-      return fail();
-    }
-    hist.buckets.reserve(buckets);
-    for (std::uint32_t b = 0; b < buckets; ++b) {
-      std::uint64_t upper = 0;
-      std::uint64_t count = 0;
-      if (!in.get_u64(upper) || !in.get_u64(count)) return fail();
-      hist.buckets.emplace_back(upper, count);
-    }
-    snap.metrics.histograms.emplace(std::move(name), std::move(hist));
-  }
-
-  // Span: 3×u64 ids + empty name + 2×u64 stamps + attr count = 48 bytes.
-  if (!in.get_count(n, 48)) return fail();
-  snap.spans.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    SpanRecord s;
-    std::uint32_t attrs = 0;
-    if (!in.get_u64(s.trace_id) || !in.get_u64(s.span_id) ||
-        !in.get_u64(s.parent_id) || !in.get_str(s.name) ||
-        !in.get_u64(s.start_cycles) || !in.get_u64(s.end_cycles) ||
-        !in.get_count(attrs, 8)) {  // 2 empty strings = 8B
-      return fail();
-    }
-    s.attributes.reserve(attrs);
-    for (std::uint32_t a = 0; a < attrs; ++a) {
-      std::string key;
-      std::string value;
-      if (!in.get_str(key) || !in.get_str(value)) return fail();
-      s.attributes.emplace_back(std::move(key), std::move(value));
-    }
-    snap.spans.push_back(std::move(s));
-  }
-
-  // Flight event: 2×u64 + 2 empty strings = 24 bytes.
-  if (!in.get_count(n, 24)) return fail();
-  snap.flight.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    FlightEvent ev;
-    if (!in.get_u64(ev.seq) || !in.get_u64(ev.at_cycles) ||
-        !in.get_str(ev.category) || !in.get_str(ev.detail)) {
-      return fail();
-    }
-    snap.flight.push_back(std::move(ev));
-  }
-  if (!in.get_u64(snap.flight_total)) return fail();
-  if (in.remaining() != 0) return fail();
   return snap;
 }
 

@@ -5,8 +5,9 @@
 // Each cluster node owns a NodeObs bundle (Registry + Tracer +
 // FlightRecorder) stamped from the shared fabric SimClock, with a
 // node-unique span-id prefix so merged span ids never collide. A
-// driver collects NodeSnapshots over the fabric (they serialize with
-// the common byte codec), merges them sorted by node name, and exports:
+// driver takes every node's NodeSnapshot where the bundles live
+// (bigdata::EnclaveCluster::snapshot()), merges them sorted by node
+// name, and exports:
 //
 //   to_obs_json()   — "securecloud.obs.v2":   [{node, obs:{counters,
 //                     gauges, histograms}}, ...] with sorted keys
@@ -69,40 +70,9 @@ struct NodeObs {
     tracer.set_id_prefix(static_cast<std::uint64_t>(node_index + 1) << 40);
   }
 
-  /// Point-in-time copy of everything, ready for the wire.
+  /// Point-in-time copy of everything.
   NodeSnapshot snapshot() const;
 };
-
-/// Byte codec so snapshots can travel as fabric payloads.
-Bytes serialize_node_snapshot(const NodeSnapshot& snap);
-Result<NodeSnapshot> deserialize_node_snapshot(ByteView wire);
-
-/// Metric-map codec shared by the node-snapshot and telemetry-frame
-/// wire formats: u32 n · n × (str name, u64 value). V is std::uint64_t
-/// (counters) or std::int64_t (gauges, carried as their bit pattern).
-/// Each entry takes at least 12 wire bytes, so the count is bounded by
-/// the wire left before anything is decoded.
-template <typename V>
-void put_metric_map(Bytes& out, const std::map<std::string, V>& metrics) {
-  put_u32(out, static_cast<std::uint32_t>(metrics.size()));
-  for (const auto& [name, value] : metrics) {
-    put_str(out, name);
-    put_u64(out, static_cast<std::uint64_t>(value));
-  }
-}
-
-template <typename V>
-bool get_metric_map(ByteReader& in, std::map<std::string, V>& metrics) {
-  std::uint32_t n = 0;
-  if (!in.get_count(n, 12)) return false;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string name;
-    std::uint64_t raw = 0;
-    if (!in.get_str(name) || !in.get_u64(raw)) return false;
-    metrics.emplace(std::move(name), static_cast<V>(raw));
-  }
-  return true;
-}
 
 /// One delivered fabric message, recorded by net::Fabric when its
 /// delivery log is enabled. Node ids match fabric NodeIds; cycle stamps

@@ -18,6 +18,32 @@ std::string pad_right(const std::string& s, std::size_t width) {
   return s.size() >= width ? s : s + std::string(width - s.size(), ' ');
 }
 
+// Metric-map codec: u32 n · n × (str name, u64 value). V is std::uint64_t
+// (counters) or std::int64_t (gauges, carried as their bit pattern).
+// Each entry takes at least 12 wire bytes, so the count is bounded by
+// the wire left before anything is decoded.
+template <typename V>
+void put_metric_map(Bytes& out, const std::map<std::string, V>& metrics) {
+  put_u32(out, static_cast<std::uint32_t>(metrics.size()));
+  for (const auto& [name, value] : metrics) {
+    put_str(out, name);
+    put_u64(out, static_cast<std::uint64_t>(value));
+  }
+}
+
+template <typename V>
+bool get_metric_map(ByteReader& in, std::map<std::string, V>& metrics) {
+  std::uint32_t n = 0;
+  if (!in.get_count(n, 12)) return false;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    std::string name;
+    std::uint64_t raw = 0;
+    if (!in.get_str(name) || !in.get_u64(raw)) return false;
+    metrics.emplace(std::move(name), static_cast<V>(raw));
+  }
+  return true;
+}
+
 }  // namespace
 
 Bytes serialize_telemetry_frame(const TelemetryFrame& frame) {

@@ -18,10 +18,9 @@
 //   u32 n · n × (str name, i64 value)     gauges whose value changed
 //                                         (absolute — gauges don't sum)
 // Delta encoding keeps steady-state frames tiny: an idle node ships a
-// header and two zero counts. Both maps use the node-snapshot codec's
-// put/get_metric_map (cluster.hpp): every length is bounds-checked
-// against the remaining wire before allocation, and any truncated or
-// corrupt input yields a typed protocol error, never UB.
+// header and two zero counts. Every length is bounds-checked against
+// the remaining wire before allocation, and any truncated or corrupt
+// input yields a typed protocol error, never UB.
 //
 // Determinism contract: samplers run inside serial fabric timer
 // events, frames travel ordered FlowNode channels, and the monitor's

@@ -844,6 +844,41 @@ TEST(Flow, ForgedAckCannotWrapInFlightDepth) {
   EXPECT_EQ(sender_obs.gauge("net_flow_chunks_in_flight").value(), 0);
 }
 
+// A cumulative ack retires the chunks below it: a later NACK for one of
+// them finds nothing to resend, the same as an evicted chunk.
+TEST(Flow, NackBelowAckRetransmitsNothing) {
+  SimClock clock;
+  net::Fabric fabric(clock);
+  const net::NodeId a = fabric.add_node("a");
+  const net::NodeId b = fabric.add_node("b");
+  ASSERT_TRUE(fabric.connect(a, b).ok());
+  bigdata::FlowConfig fc;
+  fc.chunk_size = 1024;
+  bigdata::FlowNode sender(fabric, a, Bytes(16, 0x4E), fc);
+  bigdata::FlowNode receiver(fabric, b, Bytes(16, 0x4E), fc);
+  std::vector<Bytes> got;
+  receiver.set_on_payload(
+      [&](net::NodeId, Bytes p, obs::TraceContext) { got.push_back(std::move(p)); });
+
+  const Bytes payload = patterned(5000, 6);
+  ASSERT_TRUE(sender.send(b, payload).ok());
+  fabric.run_until_idle();
+  ASSERT_EQ(got, std::vector<Bytes>{payload});
+  ASSERT_TRUE(sender.settled());
+  const std::uint64_t chunks = sender.stats().chunks_sent;
+
+  // A NACK (kNack = 1) "from" b for chunk 0, which b has acked.
+  Bytes nack;
+  put_u8(nack, 1);
+  put_u64(nack, 0);
+  ASSERT_TRUE(fabric.send(b, a, fc.control_channel, std::move(nack)).ok());
+  fabric.run_until_idle();
+
+  EXPECT_EQ(sender.stats().retransmits, 0u);
+  EXPECT_EQ(sender.stats().chunks_sent, chunks);
+  EXPECT_EQ(got.size(), 1u);
+}
+
 TEST(Flow, BeaconThresholdDetectsSilentPeer) {
   SimClock clock;
   net::Fabric fabric(clock);
@@ -1447,6 +1482,60 @@ TEST(DistributedTrace, MergedExportsAreThreadCountInvariant) {
   EXPECT_FALSE(one.trace_v2.empty());
 }
 
+// The cluster's obs travels on no fabric channel: a host-run node linked
+// to a worker that sends a snapshot request ({1}) on raw channel 9 gets
+// nothing back.
+TEST(DistributedTrace, WorkerAnswersNoRawObsRequest) {
+  SimClock clock;
+  net::Fabric fabric(clock);
+  sgx::AttestationService service;
+  bigdata::DistributedMapReduceConfig config;
+  config.num_workers = 2;
+  config.num_reducers = 2;
+  bigdata::DistributedMapReduce driver(fabric, config);
+  driver.enable_cluster_obs();
+  ASSERT_TRUE(driver.setup(service).ok());
+
+  constexpr std::uint32_t kRawObsChannel = 9;
+  const net::NodeId rogue = fabric.add_node("rogue");
+  ASSERT_TRUE(fabric.connect(rogue, driver.worker_node(0)).ok());
+  std::size_t replies = 0;
+  ASSERT_TRUE(fabric
+                  .set_handler(rogue, kRawObsChannel,
+                               [&](const net::Message&) { ++replies; })
+                  .ok());
+  ASSERT_TRUE(
+      fabric.send(rogue, driver.worker_node(0), kRawObsChannel, Bytes{1}).ok());
+  fabric.run_until_idle();
+  EXPECT_EQ(replies, 0u);
+}
+
+// Collection reads the bundles where they live: no message, no fabric time.
+TEST(DistributedTrace, SnapshotLeavesTheFabricUntouched) {
+  SimClock clock;
+  net::Fabric fabric(clock);
+  sgx::AttestationService service;
+  bigdata::DistributedMapReduceConfig config;
+  config.num_workers = 3;
+  config.num_reducers = 3;
+  bigdata::DistributedMapReduce driver(fabric, config);
+  driver.enable_cluster_obs();
+  ASSERT_TRUE(driver.setup(service).ok());
+  std::vector<std::vector<Bytes>> encrypted;
+  for (const auto& partition : word_partitions()) {
+    encrypted.push_back(driver.encrypt_partition(partition));
+  }
+  ASSERT_TRUE(driver.run(encrypted, word_count_map(), sum_reduce()).ok());
+
+  const net::FabricStats before = fabric.stats();
+  const std::uint64_t now_ns = fabric.now_ns();
+  auto snapshot = driver.collect_cluster_snapshot();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.error().message;
+  EXPECT_EQ(snapshot->nodes.size(), 4u);
+  EXPECT_EQ(fabric.stats(), before);
+  EXPECT_EQ(fabric.now_ns(), now_ns);
+}
+
 std::string run_postmortem_job(std::size_t threads) {
   SimClock clock;
   net::Fabric fabric(clock);
@@ -1635,6 +1724,15 @@ TEST(DistributedRecovery, KilledWorkerMidShuffleRecoversDeterministically) {
   EXPECT_EQ(serial.result.output, clean.result.output);
   EXPECT_EQ(serial.result.stats.shuffle_bytes, clean.result.stats.shuffle_bytes);
   expect_chaos_runs_identical(serial, pooled);
+}
+
+// A dead worker cannot answer, but its bundle outlives it: the merged
+// snapshot still lists the node.
+TEST(DistributedRecovery, SnapshotListsKilledWorker) {
+  const ChaosRun run = run_chaos_kill_job(0xD1E5, 1, 1'500'000, false);
+  ASSERT_TRUE(run.ok) << run.error;
+  EXPECT_GE(run.worker_deaths, 1u);
+  EXPECT_NE(run.obs_v2.find("\"node\":\"worker-1\""), std::string::npos);
 }
 
 TEST(DistributedRecovery, SetupHandshakesSurviveArmedLoss) {

@@ -669,92 +669,6 @@ TEST(FlightRecorder, ConcurrentAppendsNeverLoseCounts) {
 
 // ------------------------------------------------- cluster snapshot merge
 
-TEST(ClusterObs, NodeSnapshotSerializationRoundTrips) {
-  SimClock clock;
-  NodeObs node("worker-1", clock, 1);
-  node.registry.counter("x_total").inc(3);
-  node.registry.gauge("g").set(-2);
-  node.registry.histogram("h").observe(5);
-  clock.advance_cycles(7);
-  {
-    Span s(&node.tracer, "op");
-    s.set_attribute("k", "v");
-    clock.advance_cycles(3);
-  }
-  node.flight.record("cat", "detail");
-
-  const NodeSnapshot snap = node.snapshot();
-  const Bytes wire = serialize_node_snapshot(snap);
-  auto back = deserialize_node_snapshot(wire);
-  ASSERT_TRUE(back.ok()) << back.error().message;
-  EXPECT_EQ(back->node, "worker-1");
-  EXPECT_EQ(back->metrics.counters.at("x_total"), 3u);
-  EXPECT_EQ(back->metrics.gauges.at("g"), -2);
-  EXPECT_EQ(back->metrics.histograms.at("h").count, 1u);
-  ASSERT_EQ(back->spans.size(), 1u);
-  EXPECT_EQ(back->spans[0].name, "op");
-  EXPECT_EQ(back->spans[0].span_id >> 40, 2u);
-  EXPECT_EQ(back->spans[0].start_cycles, 7u);
-  EXPECT_EQ(back->spans[0].end_cycles, 10u);
-  ASSERT_EQ(back->spans[0].attributes.size(), 1u);
-  ASSERT_EQ(back->flight.size(), 1u);
-  EXPECT_EQ(back->flight[0].category, "cat");
-  EXPECT_EQ(back->flight_total, 1u);
-
-  // Truncated wire is a typed error, never UB.
-  const Bytes truncated(wire.begin(), wire.begin() + wire.size() / 2);
-  EXPECT_FALSE(deserialize_node_snapshot(truncated).ok());
-}
-
-// Deserialization must be total: every prefix and every single-byte
-// corruption of a real encoding yields either a typed error or a valid
-// alternate decode — never a crash, hang, or huge allocation. (A flip
-// can land in a count field; the reserve guards in the decoder are what
-// this exercises.)
-TEST(ClusterObs, NodeSnapshotFuzzPrefixesAndByteFlips) {
-  SimClock clock;
-  NodeObs node("fuzz-node", clock, 3);
-  node.registry.counter("a_total").inc(17);
-  node.registry.counter("b_total").inc(1);
-  node.registry.gauge("g").set(-9);
-  node.registry.histogram("h").observe(1);
-  node.registry.histogram("h").observe(1 << 20);
-  clock.advance_cycles(5);
-  {
-    Span s(&node.tracer, "span-name");
-    s.set_attribute("key", "value");
-    clock.advance_cycles(2);
-  }
-  node.flight.record("category", "some detail");
-  node.flight.record("category", "more detail");
-
-  const Bytes wire = serialize_node_snapshot(node.snapshot());
-  ASSERT_FALSE(wire.empty());
-
-  // Every strict prefix fails with a typed error (the full encoding is
-  // self-delimiting, so no prefix can be a complete valid message).
-  for (std::size_t len = 0; len < wire.size(); ++len) {
-    const Bytes prefix(wire.begin(),
-                       wire.begin() + static_cast<std::ptrdiff_t>(len));
-    auto r = deserialize_node_snapshot(prefix);
-    EXPECT_FALSE(r.ok()) << "prefix of length " << len << " decoded";
-  }
-
-  // Every single-byte flip either errors or decodes to *something* —
-  // flips inside string bodies are legitimately valid alternates.
-  for (std::size_t i = 0; i < wire.size(); ++i) {
-    for (std::uint8_t flip : {std::uint8_t{0x01}, std::uint8_t{0x80},
-                              std::uint8_t{0xFF}}) {
-      Bytes mutated = wire;
-      mutated[i] ^= flip;
-      auto r = deserialize_node_snapshot(mutated);
-      if (!r.ok()) {
-        EXPECT_FALSE(r.error().message.empty());
-      }
-    }
-  }
-}
-
 TEST(ClusterObs, MergeSortsNodesAndExportsAreLabelled) {
   SimClock clock;
   NodeObs b("node-b", clock, 2);
