@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "common/fault_injector.hpp"
 #include "common/thread_pool.hpp"
 #include "bigdata/distributed_mapreduce.hpp"
+#include "crypto/sha256.hpp"
 #include "net/fabric.hpp"
 #include "obs/anomaly.hpp"
 #include "obs/cluster.hpp"
@@ -362,6 +364,9 @@ struct TelemetryRun {
   std::vector<Alert> alerts;
   std::size_t postmortems = 0;
   std::size_t straggler_flight_events = 0;
+  net::FabricStats fabric;
+  /// The coordinator's FlowStats as its registry exports them.
+  std::string coordinator_flow;
 };
 
 // One full telemetry-armed job: worker-1 carries a 4x compute skew, and
@@ -409,6 +414,19 @@ TelemetryRun run_telemetry_job(std::uint64_t seed, std::size_t threads,
   out.dashboard = driver.telemetry_monitor()->dashboard_text();
   out.alerts = driver.telemetry_monitor()->alerts();
   out.postmortems = driver.alert_postmortems().size();
+  out.fabric = fabric.stats();
+  Registry& coordinator = driver.coordinator_obs()->registry;
+  std::ostringstream flow;
+  for (const char* name : {"net_flow_payloads_sent_total", "net_flow_payloads_delivered_total",
+                           "net_flow_payload_bytes_sent_total",
+                           "net_flow_payload_bytes_delivered_total",
+                           "net_flow_chunks_sent_total", "net_flow_nacks_sent_total",
+                           "net_flow_retransmits_total", "net_flow_beacons_sent_total"}) {
+    flow << coordinator.counter(name).value() << ' ';
+  }
+  flow << coordinator.gauge("net_flow_chunks_in_flight").value() << ' '
+       << coordinator.gauge("net_flow_chunks_queued").value();
+  out.coordinator_flow = flow.str();
   if (auto it = driver.alert_postmortems().find("worker-1");
       it != driver.alert_postmortems().end()) {
     out.straggler_flight_events = it->second.flight.size();
@@ -461,6 +479,73 @@ TEST(TelemetryCluster, ChaosTimelineIsThreadCountAndRepeatInvariant) {
     if (a.detector == "straggler_drift" && a.node == "worker-1") named = true;
   }
   EXPECT_TRUE(named);
+}
+
+std::string describe(const net::FabricStats& s) {
+  std::ostringstream out;
+  out << "sent=" << s.messages_sent << " delivered=" << s.messages_delivered
+      << " dropped=" << s.messages_dropped << " frames=" << s.frames_sent
+      << " frames_dropped=" << s.frames_dropped << " dup=" << s.frames_duplicated
+      << " reordered=" << s.frames_reordered << " bytes=" << s.bytes_sent
+      << " timers=" << s.timers_fired;
+  return out.str();
+}
+
+std::string describe(const std::vector<Alert>& alerts) {
+  std::ostringstream out;
+  for (const Alert& a : alerts) {
+    out << a.seq << '@' << a.at_cycles << ' ' << a.detector << ' ' << a.node << ' '
+        << a.metric << ' ' << a.value << '/' << a.threshold << ';';
+  }
+  return out.str();
+}
+
+/// Length and leading digest bytes of a long export.
+std::string digest(const std::string& text) {
+  const crypto::Sha256Digest d = crypto::Sha256::hash(to_bytes(text));
+  return std::to_string(text.size()) + ":" + hex_encode(ByteView(d.data(), 8));
+}
+
+// Both runs end with the same monitor totals; only the timeline differs.
+const char* const kPinnedDashboard =
+      "sc-top — 4 nodes · 196 frames · 1 alerts\n"
+      "NODE              DELIVERED  INFLIGHT     EPC   SPANS  ALERTS\n"
+      "coordinator             147         0       1       1       0\n"
+      "worker-0                  5         1       1       0       0\n"
+      "worker-1                  3         4       1       1       1\n"
+      "worker-2                  3         1       1       0       0\n"
+      "ALERT[0] straggler_drift node=worker-1 metric=dist_worker_tasks_done_total "
+      "value=0 threshold=0 — progress 0 lags cluster median 1 by >= 1\n";
+
+// Literal pins on one telemetry-armed job, fault-free and under chaos:
+// the timeline, the dashboard, the alert log, the fabric's totals and the
+// coordinator's flow counters. The worker frames ride the attested flow to
+// the coordinator, so a moved timer, an extra frame or one more byte on
+// that path changes at least one of them.
+TEST(TelemetryCluster, FaultFreeRunIsPinned) {
+  const TelemetryRun run = run_telemetry_job(0xBEEF, 1, /*with_faults=*/false);
+  ASSERT_TRUE(run.ok);
+  EXPECT_EQ(digest(run.timeline), "38824:79a1bd34fd97b1b5");
+  EXPECT_EQ(run.dashboard, kPinnedDashboard);
+  EXPECT_EQ(describe(run.alerts),
+            "0@33410888 straggler_drift worker-1 dist_worker_tasks_done_total 0/0;");
+  EXPECT_EQ(describe(run.fabric),
+            "sent=362 delivered=362 dropped=0 frames=362 frames_dropped=0 dup=0 "
+            "reordered=0 bytes=64691 timers=288");
+  EXPECT_EQ(run.coordinator_flow, "3 153 594 48739 3 0 0 0 0 0");
+}
+
+TEST(TelemetryCluster, ChaosRunIsPinned) {
+  const TelemetryRun run = run_telemetry_job(0xBEEF, 8, /*with_faults=*/true);
+  ASSERT_TRUE(run.ok);
+  EXPECT_EQ(digest(run.timeline), "42102:b76e02a8c950d99c");
+  EXPECT_EQ(run.dashboard, kPinnedDashboard);
+  EXPECT_EQ(describe(run.alerts),
+            "0@36010867 straggler_drift worker-1 dist_worker_tasks_done_total 0/0;");
+  EXPECT_EQ(describe(run.fabric),
+            "sent=394 delivered=374 dropped=20 frames=394 frames_dropped=20 dup=0 "
+            "reordered=8 bytes=71720 timers=295");
+  EXPECT_EQ(run.coordinator_flow, "3 153 594 51547 3 10 1 4 0 0");
 }
 
 // -------------------------------------------------- streams pipeline tap
