@@ -40,9 +40,6 @@ constexpr double kWorkerEpcMb = 93.0;  // usable SGX1 EPC
 constexpr double kTaskCpuCores = 1.0;
 constexpr double kTaskMemGb = 1.0;
 constexpr double kTaskEpcMb = 8.0;
-/// Telemetry monitor rollup window and ring depth (timeseries.hpp).
-constexpr std::uint64_t kTelemetryWindowCycles = 4'000'000;
-constexpr std::size_t kTelemetryRingCapacity = 64;
 
 DistributedMapReduceConfig with_recovery_knobs(DistributedMapReduceConfig config) {
   // Silent-death detection depends on the flow liveness machinery.
@@ -158,47 +155,6 @@ Result<obs::ClusterSnapshot> DistributedMapReduce::collect_cluster_snapshot() {
   return cluster_.snapshot();
 }
 
-// --- telemetry plane ------------------------------------------------------
-
-bool DistributedMapReduce::telemetry_active() const {
-  return monitor_ != nullptr && !job_error_.has_value() &&
-         results_seen_.size() < config_.num_workers;
-}
-
-void DistributedMapReduce::coordinator_telemetry_tick() {
-  if (!telemetry_active()) return;  // job over: stop re-arming, let the loop drain
-  if (coordinator_frames_ >= config_.telemetry.max_frames_per_run) return;
-  ++coordinator_frames_;
-  const obs::TelemetryFrame frame =
-      coordinator_sampler_->sample(fabric_.clock().cycles());
-  // Loopback still round-trips the wire codec: the monitor only ever
-  // sees frames that survived (de)serialization, local or remote.
-  auto parsed =
-      obs::deserialize_telemetry_frame(obs::serialize_telemetry_frame(frame));
-  if (parsed.ok() && monitor_->ingest(*parsed).ok()) {
-    bump(obs_telemetry_frames_);
-  }
-  fabric_.schedule(config_.telemetry.interval_ns,
-                   [this] { coordinator_telemetry_tick(); });
-}
-
-void DistributedMapReduce::worker_telemetry_tick(Worker& worker) {
-  if (!telemetry_active()) return;
-  FlowNode* flow = worker_flow(worker);
-  if (!worker.alive || worker.sampler == nullptr || flow == nullptr) return;
-  if (worker.telemetry_frames >= config_.telemetry.max_frames_per_run) return;
-  ++worker.telemetry_frames;
-  const obs::TelemetryFrame frame =
-      worker.sampler->sample(fabric_.clock().cycles());
-  Bytes wire;
-  put_u8(wire, kTelemetry);
-  put_blob(wire, obs::serialize_telemetry_frame(frame));
-  (void)flow->send(worker.coordinator_node, wire);
-  Worker* worker_ptr = &worker;
-  fabric_.schedule(config_.telemetry.interval_ns,
-                   [this, worker_ptr] { worker_telemetry_tick(*worker_ptr); });
-}
-
 void DistributedMapReduce::on_telemetry_alert(const obs::Alert& alert) {
   bump(obs_telemetry_alerts_);
   note_coordinator_flight(
@@ -247,25 +203,21 @@ Status DistributedMapReduce::setup(sgx::AttestationService& service) {
   if (cluster_obs_) {
     // Driver counters and the job span live on the coordinator node.
     set_obs(cluster_.registry(kCoordinator), cluster_.tracer(kCoordinator));
-    // Telemetry plane: per-node delta samplers + the coordinator-side
-    // monitor with its straggler detector. The monitor's alert hook
+    // Telemetry plane: the cluster's samplers and coordinator-side
+    // monitor, plus the straggler detector. The monitor's alert hook
     // copies the named node's flight ring while the job is still running.
-    if (config_.telemetry.enabled) {
-      monitor_ = std::make_unique<obs::TelemetryMonitor>(
-          obs::TelemetryMonitorConfig{kTelemetryWindowCycles, kTelemetryRingCapacity});
+    SC_RETURN_IF_ERROR(cluster_.enable_telemetry(config_.telemetry, obs_telemetry_frames_));
+    if (obs::TelemetryMonitor* monitor = cluster_.telemetry_monitor()) {
       // Alert once the median worker has finished a task and a node
       // lags it by one.
-      monitor_->add_detector(std::make_unique<obs::StragglerDriftDetector>(
+      monitor->add_detector(std::make_unique<obs::StragglerDriftDetector>(
           "dist_worker_tasks_done_total", /*min_progress=*/1, /*min_lag=*/1));
-      monitor_->set_on_alert(
-          [this](const obs::Alert& alert) { on_telemetry_alert(alert); });
-      coordinator_sampler_ = std::make_unique<obs::TelemetrySampler>(coordinator_obs());
+      monitor->set_on_alert([this](const obs::Alert& alert) { on_telemetry_alert(alert); });
+      // Intern the progress counter now so every worker's first frame
+      // carries it at zero: the straggler detector compares it across
+      // nodes, and a node that never shipped the metric would be
+      // invisible — exactly the node most worth watching.
       for (auto& worker : workers_) {
-        worker->sampler = std::make_unique<obs::TelemetrySampler>(worker_obs(worker->index));
-        // Intern the progress counter now so every worker's first frame
-        // carries it at zero: the straggler detector compares it across
-        // nodes, and a node that never shipped the metric would be
-        // invisible — exactly the node most worth watching.
         (void)worker_obs(worker->index)->registry.counter("dist_worker_tasks_done_total");
       }
     }
@@ -889,14 +841,6 @@ void DistributedMapReduce::coordinator_on_flow_payload(net::NodeId from,
       (void)from;
       return;
     }
-    case kTelemetry: {
-      Bytes blob;
-      if (!r.get_blob(blob) || !r.done() || monitor_ == nullptr) return;
-      auto frame = obs::deserialize_telemetry_frame(blob);
-      if (!frame.ok()) return;  // corrupt frame: drop, never crash
-      if (monitor_->ingest(*frame).ok()) bump(obs_telemetry_frames_);
-      return;
-    }
     default:
       return;
   }
@@ -1252,21 +1196,12 @@ Result<JobResult> DistributedMapReduce::run(
   }
 
   // Telemetry plane: arm every node's sampler before the first task
-  // ships, coordinator first then workers in index order — a fixed
-  // arming order fixes the timer seq tie-breaks, which the
-  // bit-identical timeline contract relies on.
-  if (monitor_) {
-    coordinator_frames_ = 0;
-    for (auto& worker : workers_) worker->telemetry_frames = 0;
-    fabric_.schedule(config_.telemetry.interval_ns,
-                     [this] { coordinator_telemetry_tick(); });
-    for (auto& worker : workers_) {
-      Worker* worker_ptr = worker.get();
-      fabric_.schedule(config_.telemetry.interval_ns, [this, worker_ptr] {
-        worker_telemetry_tick(*worker_ptr);
-      });
-    }
-  }
+  // ships. Ticks stop once the job completed or failed, and on a dead
+  // worker.
+  cluster_.start_telemetry([this](std::size_t node) {
+    return !job_error_.has_value() && results_seen_.size() < config_.num_workers &&
+           (node == kCoordinator || workers_[node - 1]->alive);
+  });
 
   const std::uint64_t cycles_before = fabric_.clock().cycles();
   for (std::uint64_t t = 0; t < W; ++t) send_map_task(task_executors_[t].front(), t);

@@ -43,6 +43,10 @@
 // model and cancels the originals; the coordinator's first-result-wins
 // dedup commits whichever copy lands first.
 //
+// Telemetry (cluster-obs mode): EnclaveCluster's plane, in which the
+// star makes every worker's key-release parent the coordinator, so each
+// worker's frames travel one hop to the coordinator's monitor.
+//
 // Determinism: every fabric event is dispatched from the serial
 // run_until_idle() loop, shuffle nonces / block slots / output order are
 // pure functions of (epoch, task, reducer) indices, and per-record map
@@ -58,7 +62,6 @@
 #include "bigdata/enclave_cluster.hpp"
 #include "bigdata/mapreduce.hpp"
 #include "genpack/scheduler.hpp"
-#include "obs/telemetry.hpp"
 
 namespace securecloud::bigdata {
 
@@ -95,21 +98,9 @@ struct DistributedMapReduceConfig {
   };
   SpeculationConfig speculation;
 
-  /// Live telemetry plane (obs v3, requires cluster-obs mode): every
-  /// node samples its NodeObs on a fabric timer into delta-encoded,
-  /// sequence-numbered frames streamed to the coordinator's
-  /// TelemetryMonitor over the worker's attested flow; the monitor
-  /// runs anomaly detectors and answers each alert with a copy of the
-  /// named node's flight-recorder ring (alert_postmortems()).
-  struct TelemetryConfig {
-    bool enabled = false;
-    /// Fabric time between samples on each node.
-    std::uint64_t interval_ns = 500'000;
-    /// Per-node frame budget per run(): timers stop re-arming at the
-    /// cap (or as soon as the job completes/fails), so the serial
-    /// event loop still drains and genuine stalls stay detectable.
-    std::size_t max_frames_per_run = 256;
-  };
+  /// EnclaveCluster's telemetry plane (cluster-obs mode only): workers
+  /// stream frames to the coordinator's monitor, whose straggler alerts
+  /// copy the named node's flight ring (alert_postmortems()).
   TelemetryConfig telemetry;
 };
 
@@ -210,8 +201,10 @@ class DistributedMapReduce {
   /// The live monitor (telemetry config + cluster-obs mode, built in
   /// setup()); null otherwise. Exposes the securecloud.telemetry.v1
   /// timeline, the alert log, and the sc-top dashboard.
-  obs::TelemetryMonitor* telemetry_monitor() { return monitor_.get(); }
-  const obs::TelemetryMonitor* telemetry_monitor() const { return monitor_.get(); }
+  obs::TelemetryMonitor* telemetry_monitor() { return cluster_.telemetry_monitor(); }
+  const obs::TelemetryMonitor* telemetry_monitor() const {
+    return cluster_.telemetry_monitor();
+  }
 
   /// Flight rings of the nodes named by alerts (node name -> flight-only
   /// NodeSnapshot). Each is copied the moment its alert fires, while the
@@ -239,9 +232,8 @@ class DistributedMapReduce {
   /// the *flow-level ack* of its chunk is the proof of life, and a
   /// quiesced worker's silence trips the beacon death threshold.
   static constexpr std::uint8_t kPing = 6;
-  /// Worker -> coordinator telemetry frame (obs v3): a delta-encoded
-  /// TelemetryFrame blob streamed on the attested flow.
-  static constexpr std::uint8_t kTelemetry = 7;
+  static_assert(kPing < EnclaveCluster::kTelemetryTag,
+                "tags run 1..kPing; the cluster's telemetry tag is reserved");
   /// Nonce domain for sealed worker->coordinator result blocks.
   static constexpr std::uint32_t kResultDomain = 0x4452534c;  // "DRSL"
 
@@ -301,9 +293,6 @@ class DistributedMapReduce {
     /// Trace context of the coordinator's job span, adopted from the
     /// kMapTask chunk header; parents this worker's spans.
     obs::TraceContext job_ctx;
-    /// Telemetry plane: this node's delta sampler + per-run frame count.
-    std::unique_ptr<obs::TelemetrySampler> sampler;
-    std::size_t telemetry_frames = 0;
   };
 
   /// This node's obs bundle (null until setup and in shared mode).
@@ -333,12 +322,6 @@ class DistributedMapReduce {
   void worker_fail(Worker& worker, Error error);
   void coordinator_on_flow_payload(net::NodeId from, Bytes payload);
 
-  // --- telemetry plane ---
-  /// False once the job completed or failed: ticks stop re-arming so
-  /// the event loop drains.
-  bool telemetry_active() const;
-  void coordinator_telemetry_tick();
-  void worker_telemetry_tick(Worker& worker);
   void on_telemetry_alert(const obs::Alert& alert);
 
   // --- recovery / speculation (coordinator side) ---
@@ -368,8 +351,8 @@ class DistributedMapReduce {
   common::ThreadPool* pool_ = nullptr;
 
   bool ready_ = false;
-  /// Declared before everything holding spans or samplers on its obs
-  /// bundles, so it outlives them.
+  /// Declared before everything holding spans on its obs bundles, so it
+  /// outlives them.
   EnclaveCluster cluster_;
   net::NodeId coordinator_node_ = 0;
   std::vector<std::unique_ptr<Worker>> workers_;
@@ -414,10 +397,6 @@ class DistributedMapReduce {
   bool cluster_obs_ = false;
   std::string postmortem_;
 
-  // Telemetry plane (cluster-obs + telemetry.enabled).
-  std::unique_ptr<obs::TelemetryMonitor> monitor_;
-  std::unique_ptr<obs::TelemetrySampler> coordinator_sampler_;
-  std::size_t coordinator_frames_ = 0;
   std::map<std::string, obs::NodeSnapshot> alert_postmortems_;
 
   obs::Registry* registry_ = nullptr;

@@ -4,6 +4,12 @@
 
 namespace securecloud::bigdata {
 
+namespace {
+/// Telemetry monitor rollup window and ring depth (timeseries.hpp).
+constexpr std::uint64_t kTelemetryWindowCycles = 4'000'000;
+constexpr std::size_t kTelemetryRingCapacity = 64;
+}  // namespace
+
 EnclaveCluster::EnclaveCluster(net::Fabric& fabric, ClusterConfig config,
                                std::size_t flight_capacity, RetryConfig session_retry)
     : fabric_(fabric),
@@ -36,7 +42,7 @@ std::size_t EnclaveCluster::add_node(std::string name, std::string platform_id,
 }
 
 Status EnclaveCluster::connect(std::size_t a, std::size_t b) {
-  return fabric_.connect(nodes_[a]->id, nodes_[b]->id, config_.link);
+  return fabric_.connect(nodes_[a]->id, nodes_[b]->id, net::LinkConfig{});
 }
 
 Status EnclaveCluster::boot(sgx::AttestationService& service) {
@@ -112,6 +118,7 @@ Status EnclaveCluster::attest(const std::vector<Edge>& edges, OnPayload on_paylo
         open_session(net::AttestedSession::Role::kResponder, edge.responder,
                      edge.initiator);
     const std::size_t index = edge.responder;
+    nodes_[index]->parent = edge.initiator;
     responder.set_on_record([this, index](Bytes record) {
       nodes_[index]->accepted = on_first_record(index, record);
     });
@@ -161,8 +168,81 @@ void EnclaveCluster::attach_flow(std::size_t i, Bytes key) {
   node.flow->set_flight(flight(i));
   node.flow->set_on_payload(
       [this, i](net::NodeId from, Bytes payload, obs::TraceContext trace) {
-        on_payload_(i, from, std::move(payload), trace);
+        on_flow_payload(i, from, std::move(payload), trace);
       });
+}
+
+void EnclaveCluster::on_flow_payload(std::size_t i, net::NodeId from, Bytes payload,
+                                     obs::TraceContext trace) {
+  if (payload.empty() || payload.front() != kTelemetryTag) {
+    on_payload_(i, from, std::move(payload), trace);
+  } else if (i != 0) {
+    // A relay reads nothing: the payload goes on as it came, one hop up.
+    (void)nodes_[i]->flow->send(nodes_[nodes_[i]->parent]->id, payload);
+  } else {
+    ByteReader r(ByteView(payload).subspan(1));
+    Bytes frame;
+    if (r.get_blob(frame) && r.done()) ingest_telemetry(frame);
+  }
+}
+
+// --- telemetry plane ------------------------------------------------------
+
+Status EnclaveCluster::enable_telemetry(const TelemetryConfig& config,
+                                        obs::Counter* frames) {
+  if (!config.enabled) return {};
+  if (shared_ || config.interval_ns == 0 || config.max_frames_per_run == 0) {
+    return Error::invalid_argument("telemetry needs per-node obs mode, a non-zero "
+                                   "interval and a non-zero frame cap");
+  }
+  if (!booted_) return Error::protocol("cluster not booted");
+  telemetry_ = config;
+  telemetry_frames_ = frames;
+  monitor_ = std::make_unique<obs::TelemetryMonitor>(
+      obs::TelemetryMonitorConfig{kTelemetryWindowCycles, kTelemetryRingCapacity});
+  for (auto& node : nodes_) {
+    node->sampler = std::make_unique<obs::TelemetrySampler>(node->obs.get());
+  }
+  return {};
+}
+
+void EnclaveCluster::start_telemetry(std::function<bool(std::size_t node)> active) {
+  if (!monitor_) return;
+  telemetry_active_ = std::move(active);
+  // Index order fixes the timers' seq tie-breaks, which the bit-identical
+  // timeline relies on.
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    nodes_[i]->telemetry_frames = 0;
+    fabric_.schedule(telemetry_.interval_ns, [this, i] { telemetry_tick(i); });
+  }
+}
+
+void EnclaveCluster::telemetry_tick(std::size_t i) {
+  // Inactive: stop re-arming, so the event loop drains.
+  if (!telemetry_active_(i)) return;
+  Node& node = *nodes_[i];
+  if (!node.flow || node.telemetry_frames >= telemetry_.max_frames_per_run) return;
+  ++node.telemetry_frames;
+  const Bytes frame =
+      obs::serialize_telemetry_frame(node.sampler->sample(fabric_.clock().cycles()));
+  if (i == 0) {
+    // Loopback still round-trips the wire codec: the monitor only ever
+    // sees frames that survived (de)serialization, local or remote.
+    ingest_telemetry(frame);
+  } else {
+    Bytes wire;
+    put_u8(wire, kTelemetryTag);
+    put_blob(wire, frame);
+    (void)node.flow->send(nodes_[node.parent]->id, wire);
+  }
+  fabric_.schedule(telemetry_.interval_ns, [this, i] { telemetry_tick(i); });
+}
+
+void EnclaveCluster::ingest_telemetry(ByteView frame) {
+  // A corrupt or out-of-sequence frame is dropped, never fatal.
+  auto parsed = obs::deserialize_telemetry_frame(frame);
+  if (!monitor_ || !parsed.ok() || !monitor_->ingest(*parsed).ok()) return;
+  if (telemetry_frames_ != nullptr) telemetry_frames_->inc();
 }
 
 std::optional<std::size_t> EnclaveCluster::index_of(net::NodeId id) const {

@@ -29,7 +29,18 @@
 //                 parses the key, the app vets the layout, and the node's
 //                 FlowNode is attached. The next edge starts only after
 //                 the previous responder accepted its record. Flows open
-//                 no traffic during attest().
+//                 no traffic during attest(). A responder's key-release
+//                 parent is the initiator of the edge that attested it.
+//   start_telemetry() — at the app's run start, one sampler timer per node
+//                 armed in index order (see the telemetry plane below).
+//
+// Telemetry plane (obs v3, per-node mode): node 0 hosts the monitor. Each
+// node the app still calls active samples its NodeObs every interval_ns.
+// Node 0 ingests its own frames through the wire codec; any other node
+// sends u8 kTelemetryTag ‖ blob(frame) on its flow to its key-release
+// parent, which forwards it unchanged to its own parent, so frames reach
+// node 0 hop by hop over attested edges, with no new link. The cluster
+// takes payloads tagged kTelemetryTag before the app's callback sees them.
 //
 // Obs modes: per-node (the default) gives every node an obs::NodeObs
 // bundle that its sessions, flow and EPC report into; shared mode wires
@@ -46,14 +57,24 @@
 #include "bigdata/flow.hpp"
 #include "net/session_demux.hpp"
 #include "obs/cluster.hpp"
+#include "obs/telemetry.hpp"
 
 namespace securecloud::bigdata {
 
-/// What every fabric-hosted app configures the same way.
+/// What every fabric-hosted app configures the same way (links take
+/// net::LinkConfig's defaults).
 struct ClusterConfig {
-  /// Applied to every link the app connects.
-  net::LinkConfig link;
   FlowConfig flow;
+};
+
+/// The live telemetry plane (see the file comment).
+struct TelemetryConfig {
+  bool enabled = false;
+  /// Fabric time between samples on each node.
+  std::uint64_t interval_ns = 500'000;
+  /// Per-node frame budget per start_telemetry(): a capped timer stops,
+  /// so the event loop still drains and genuine stalls stay detectable.
+  std::size_t max_frames_per_run = 256;
 };
 
 class EnclaveCluster {
@@ -63,6 +84,8 @@ class EnclaveCluster {
   /// armed kNetLoss.
   static constexpr RetryConfig kSessionRetry{.retransmit_timeout_ns = 3'000'000,
                                              .max_retries = 12};
+  /// First payload byte of a telemetry frame on a flow; reserved.
+  static constexpr std::uint8_t kTelemetryTag = 7;
 
   /// One edge to attest: `initiator` handshakes with `responder`, then
   /// seals blob(key) ‖ `layout` to it.
@@ -111,6 +134,18 @@ class EnclaveCluster {
   Status attest(const std::vector<Edge>& edges, OnPayload on_payload,
                 AcceptLayout accept = {});
 
+  /// Builds node 0's monitor and every node's sampler; a no-op unless
+  /// `config.enabled`. After boot(), in per-node mode; kInvalidArgument
+  /// for shared mode, a zero interval or a zero frame cap. Node 0 bumps
+  /// `frames` (may be null) for every frame its monitor ingests.
+  Status enable_telemetry(const TelemetryConfig& config, obs::Counter* frames = nullptr);
+  /// Resets every node's frame budget and arms its sampler timer,
+  /// `interval_ns` from now, in node-index order. A node's timer re-arms
+  /// while `active(node)` holds. A no-op while telemetry is off.
+  void start_telemetry(std::function<bool(std::size_t node)> active);
+  /// Node 0's monitor; null while telemetry is off.
+  obs::TelemetryMonitor* telemetry_monitor() const { return monitor_.get(); }
+
   std::size_t size() const { return nodes_.size(); }
   net::NodeId node_id(std::size_t i) const { return nodes_[i]->id; }
   /// The index of the node on fabric node `id`, if it is one of ours.
@@ -150,8 +185,12 @@ class EnclaveCluster {
     /// Both session ends this node terminates, keyed by peer index.
     std::map<std::size_t, std::unique_ptr<net::AttestedSession>> sessions;
     bool accepted = false;  // took its first record
+    /// The initiator of the edge that released the key here (node 0: 0).
+    std::size_t parent = 0;
     Bytes key;
     std::unique_ptr<FlowNode> flow;
+    std::unique_ptr<obs::TelemetrySampler> sampler;
+    std::size_t telemetry_frames = 0;  // this run's
   };
 
   net::AttestedSession& open_session(net::AttestedSession::Role role, std::size_t self,
@@ -160,6 +199,12 @@ class EnclaveCluster {
   void attach_flow(std::size_t i, Bytes key);
   /// A first record sealed to responder `i`: blob(key) ‖ layout.
   bool on_first_record(std::size_t i, ByteView record);
+  /// Telemetry is the cluster's; every other payload goes to the app.
+  void on_flow_payload(std::size_t i, net::NodeId from, Bytes payload,
+                       obs::TraceContext trace);
+  void telemetry_tick(std::size_t i);
+  /// Node 0 folds one serialized frame into its monitor.
+  void ingest_telemetry(ByteView frame);
 
   net::Fabric& fabric_;
   ClusterConfig config_;
@@ -175,6 +220,10 @@ class EnclaveCluster {
   AcceptLayout accept_;
   OnPayload on_payload_;
   OnSessionFailure on_failure_;
+  TelemetryConfig telemetry_;
+  std::unique_ptr<obs::TelemetryMonitor> monitor_;
+  obs::Counter* telemetry_frames_ = nullptr;
+  std::function<bool(std::size_t node)> telemetry_active_;
 };
 
 }  // namespace securecloud::bigdata

@@ -8,9 +8,9 @@ FlowNode::FlowNode(net::Fabric& fabric, net::NodeId self, ByteView key,
       self_(self),
       key_(key.begin(), key.end()),
       config_(config) {
-  (void)fabric_.set_handler(self_, config_.chunk_channel,
+  (void)fabric_.set_handler(self_, kChunkChannel,
                             [this](const net::Message& m) { on_chunk(m); });
-  (void)fabric_.set_handler(self_, config_.control_channel,
+  (void)fabric_.set_handler(self_, kControlChannel,
                             [this](const net::Message& m) { on_control(m); });
 }
 
@@ -45,7 +45,8 @@ FlowNode::Outbound& FlowNode::outbound(net::NodeId dst) {
         key_, stream_id(self_, dst), config_.chunk_size,
         config_.retransmit_buffer_chunks);
     sender->set_obs(registry_);
-    it = outbound_.emplace(dst, Outbound{std::move(sender), 0, 0}).first;
+    it = outbound_.try_emplace(dst).first;
+    it->second.sender = std::move(sender);
   }
   return it->second;
 }
@@ -71,8 +72,7 @@ void FlowNode::send_chunk(net::NodeId dst, std::uint64_t high_water,
   put_u64(envelope, high_water);
   obs::put_trace_context(envelope, trace);
   put_blob(envelope, wire);
-  (void)fabric_.send(self_, dst, config_.chunk_channel, std::move(envelope),
-                     trace);
+  (void)fabric_.send(self_, dst, kChunkChannel, std::move(envelope), trace);
 }
 
 void FlowNode::note_flight(const char* category, net::NodeId peer,
@@ -87,7 +87,7 @@ void FlowNode::send_control(net::NodeId dst, std::uint8_t type,
   Bytes wire;
   put_u8(wire, type);
   put_u64(wire, value);
-  (void)fabric_.send(self_, dst, config_.control_channel, std::move(wire));
+  (void)fabric_.send(self_, dst, kControlChannel, std::move(wire));
 }
 
 void FlowNode::mark_peer_dead(Outbound& out, Status reason) {

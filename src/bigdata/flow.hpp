@@ -34,8 +34,6 @@
 namespace securecloud::bigdata {
 
 struct FlowConfig {
-  std::uint32_t chunk_channel = 101;    // fabric channel for data chunks
-  std::uint32_t control_channel = 102;  // NACK / ACK / beacon traffic
   std::size_t chunk_size = 4096;
   /// NACKs per inbound gap before it is abandoned. Generous: a fabric
   /// test arms aggressive loss, and abandoning a gap kills the whole
@@ -97,6 +95,9 @@ class FlowNode {
   /// How often the flow timer polls for due NACKs and unacked outbound
   /// flows while work is pending.
   static constexpr std::uint64_t kPollIntervalNs = 500'000;
+  /// Fabric channels: data chunks, and NACK / ACK / beacon traffic.
+  static constexpr std::uint32_t kChunkChannel = 101;
+  static constexpr std::uint32_t kControlChannel = 102;
 
   FlowNode(net::Fabric& fabric, net::NodeId self, ByteView key,
            FlowConfig config = {});
@@ -157,7 +158,7 @@ class FlowNode {
   void set_flight(obs::FlightRecorder* flight) { flight_ = flight; }
 
  private:
-  // Control record types (first byte on control_channel).
+  // Control record types (first byte on kControlChannel).
   static constexpr std::uint8_t kNack = 1;
   static constexpr std::uint8_t kAck = 2;
   static constexpr std::uint8_t kBeacon = 3;

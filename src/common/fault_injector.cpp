@@ -15,7 +15,6 @@ const char* to_string(FaultKind kind) {
     case FaultKind::kDuplicateMessage: return "duplicate-message";
     case FaultKind::kKillContainer: return "kill-container";
     case FaultKind::kKillEnclave: return "kill-enclave";
-    case FaultKind::kServerFailure: return "server-failure";
     case FaultKind::kEpcPressure: return "epc-pressure";
     case FaultKind::kIoError: return "io-error";
     case FaultKind::kNetLoss: return "net-loss";
@@ -66,7 +65,7 @@ bool FaultInjector::should_fire(FaultKind kind) {
 void FaultInjector::corrupt(Bytes& wire) {
   if (wire.empty()) return;
   const std::uint64_t draw =
-      stream_draw(seed_, kFaultKindCount + 1, corrupt_ops_++);
+      stream_draw(seed_, kCorruptStream, corrupt_ops_++);
   const std::size_t bit = static_cast<std::size_t>(draw % (wire.size() * 8));
   wire[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
 }

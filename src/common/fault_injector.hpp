@@ -12,11 +12,12 @@
 //
 // Recovery paths exercised by the injector (see DESIGN.md "Fault model &
 // recovery"): SecureTransferReceiver gap detection + NACK/backoff,
-// EventBus at-least-once redelivery + dead-letter queue, GenPack
-// rescheduling of failed servers, and the container engine's restart
-// policy. The invariant every fault test asserts: an injected fault either
-// recovers to the bit-identical no-fault output, or surfaces as a typed
-// Error with a matching stat — never a silent divergence.
+// EventBus at-least-once redelivery + dead-letter queue, the container
+// engine's restart policy, and the fabric apps' flow recovery. (GenPack
+// reschedules through Server::fail, not through the injector.) The
+// invariant every fault test asserts: an injected fault either recovers
+// to the bit-identical no-fault output, or surfaces as a typed Error with
+// a matching stat — never a silent divergence.
 #pragma once
 
 #include <array>
@@ -29,31 +30,31 @@
 
 namespace securecloud::common {
 
+/// A kind's value is its decision stream's id, so every value is fixed:
+/// a renumbered kind would move every armed schedule. Value 9 is retired.
 enum class FaultKind : std::uint8_t {
   // Wire chunk faults (secure transfer).
   kDropChunk = 0,
-  kCorruptChunk,
-  kDuplicateChunk,
-  kReorderChunk,
+  kCorruptChunk = 1,
+  kDuplicateChunk = 2,
+  kReorderChunk = 3,
   // SCBR / event-bus message faults.
-  kDropMessage,
-  kCorruptMessage,
-  kDuplicateMessage,
+  kDropMessage = 4,
+  kCorruptMessage = 5,
+  kDuplicateMessage = 6,
   // Process / platform faults.
-  kKillContainer,
-  kKillEnclave,
-  kServerFailure,
-  kEpcPressure,
+  kKillContainer = 7,
+  kKillEnclave = 8,
+  kEpcPressure = 10,
   // Untrusted-storage I/O faults (torn/failed writes, failed deletes).
-  kIoError,
+  kIoError = 11,
   // Network-fabric faults (src/net/): per-frame loss/duplication/reorder
   // decisions plus per-message partition drops, applied at link delivery.
-  kNetLoss,
-  kNetDuplicate,
-  kNetReorder,
-  kNetPartition,
+  kNetLoss = 12,
+  kNetDuplicate = 13,
+  kNetReorder = 14,
+  kNetPartition = 15,
 };
-inline constexpr std::size_t kFaultKindCount = 16;
 
 const char* to_string(FaultKind kind);
 
@@ -116,6 +117,10 @@ class FaultInjector {
 
  private:
   static std::size_t index(FaultKind kind) { return static_cast<std::size_t>(kind); }
+  /// One stream per kind value (0..15).
+  static constexpr std::size_t kKindStreams = 16;
+  /// corrupt()'s draw stream, past every kind's.
+  static constexpr std::uint64_t kCorruptStream = 17;
 
   struct Stream {
     FaultArm arm;
@@ -126,7 +131,7 @@ class FaultInjector {
 
   std::uint64_t seed_;
   const SimClock* clock_;
-  std::array<Stream, kFaultKindCount> streams_{};
+  std::array<Stream, kKindStreams> streams_{};
   std::uint64_t corrupt_ops_ = 0;
   std::vector<FaultEvent> schedule_;
   Observer observer_;

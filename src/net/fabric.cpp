@@ -198,10 +198,8 @@ void Fabric::admit_send(Ingress&& in) {
     p.frames_in_flight = 1;
     ++stats_.frames_sent;
     bump(obs_frames_sent_);
-    push_event(EventItem{.at_ns = now_ns_,
-                         .message_id = id,
-                         .frag_index = 0,
-                         .frag_total = 1});
+    push_event(EventItem{.at_ns = now_ns_, .message_id = id, .frag_index = 0,
+                         .frag_total = 1, .timer = nullptr});
     return;
   }
 
@@ -269,18 +267,14 @@ void Fabric::admit_send(Ingress&& in) {
     }
 
     ++p.frames_in_flight;
-    push_event(EventItem{.at_ns = at,
-                         .message_id = id,
-                         .frag_index = i,
-                         .frag_total = frags});
+    push_event(EventItem{.at_ns = at, .message_id = id, .frag_index = i,
+                         .frag_total = frags, .timer = nullptr});
     if (duplicate) {
       ++stats_.frames_duplicated;
       bump(obs_frames_duplicated_);
       ++p.frames_in_flight;
-      push_event(EventItem{.at_ns = at + cfg.latency_ns,
-                           .message_id = id,
-                           .frag_index = i,
-                           .frag_total = frags});
+      push_event(EventItem{.at_ns = at + cfg.latency_ns, .message_id = id,
+                           .frag_index = i, .frag_total = frags, .timer = nullptr});
     }
   }
 

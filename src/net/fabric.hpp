@@ -224,7 +224,7 @@ class Fabric {
   struct EventItem {
     std::uint64_t at_ns = 0;
     std::uint64_t seq = 0;  // enqueue order: the stable tie-break
-    // Frame fields (message_total == 0 marks a timer event).
+    // Frame fields (frag_total == 0 marks a timer event).
     std::uint64_t message_id = 0;
     std::uint32_t frag_index = 0;
     std::uint32_t frag_total = 0;

@@ -138,6 +138,8 @@ class FabricOverlay {
   static constexpr std::uint8_t kSubscribe = 1;
   static constexpr std::uint8_t kRetract = 2;
   static constexpr std::uint8_t kPublish = 3;
+  static_assert(kPublish < bigdata::EnclaveCluster::kTelemetryTag,
+                "tags run 1..kPublish; the cluster's telemetry tag is reserved");
   static constexpr BrokerId kNoBroker = static_cast<BrokerId>(-1);
 
   /// A broker's routing state; its enclave, sessions and flow live in the

@@ -86,6 +86,10 @@ bool get_f64(ByteReader& in, double& v) {
   return true;
 }
 
+static_assert(static_cast<std::uint8_t>(FrameType::kCredit) <
+                  bigdata::EnclaveCluster::kTelemetryTag,
+              "frame tags run 1..kCredit; the cluster's telemetry tag is reserved");
+
 /// Stage i's platform draws entropy seed kEntropySeedBase + i.
 constexpr std::uint64_t kEntropySeedBase = 0x57AE;
 constexpr std::size_t kFlightCapacity = 64;
@@ -253,6 +257,7 @@ Status Pipeline::setup(sgx::AttestationService& service) {
     SC_RETURN_IF_ERROR(cluster_.connect(i, i + 1));
   }
   SC_RETURN_IF_ERROR(cluster_.boot(service));
+  SC_RETURN_IF_ERROR(cluster_.enable_telemetry(config_.telemetry));
 
   for (auto& stage : stages_) {
     wire_counters(*stage, cluster_.registry(stage->index));
@@ -604,51 +609,6 @@ void Pipeline::maybe_grant(Stage& stage) {
   stage.consumed_since_grant = 0;
 }
 
-// --- telemetry plane -------------------------------------------------------
-
-Status Pipeline::enable_telemetry(obs::TelemetryMonitor* monitor,
-                                  std::uint64_t interval_ns,
-                                  std::size_t max_frames_per_stage) {
-  if (!ready_) return Error::protocol("pipeline not set up");
-  if (!cluster_.per_node()) {
-    return Error::invalid_argument(
-        "telemetry requires per-node obs mode (no shared registry)");
-  }
-  if (monitor == nullptr || interval_ns == 0 || max_frames_per_stage == 0) {
-    return Error::invalid_argument("telemetry needs a monitor, a non-zero "
-                                   "interval, and a non-zero frame cap");
-  }
-  monitor_ = monitor;
-  telemetry_interval_ns_ = interval_ns;
-  telemetry_max_frames_ = max_frames_per_stage;
-  for (auto& stage : stages_) {
-    stage->sampler =
-        std::make_unique<obs::TelemetrySampler>(cluster_.node_obs(stage->index));
-    stage->telemetry_frames = 0;
-  }
-  return {};
-}
-
-void Pipeline::stage_telemetry_tick(std::size_t index) {
-  Stage& stage = *stages_[index];
-  if (monitor_ == nullptr || stage.sampler == nullptr) return;
-  // Stream complete: stop re-arming so the fabric drains. The frame cap
-  // bounds ticks on a stalled stream, keeping the zero-event deadlock
-  // detector alive.
-  if (stages_.back()->done) return;
-  if (stage.telemetry_frames >= telemetry_max_frames_) return;
-  ++stage.telemetry_frames;
-  const obs::TelemetryFrame frame =
-      stage.sampler->sample(fabric_.clock().cycles());
-  // Round-trip the wire codec: the monitor only ever sees frames that
-  // survived (de)serialization, exactly as over a fabric channel.
-  auto parsed =
-      obs::deserialize_telemetry_frame(obs::serialize_telemetry_frame(frame));
-  if (parsed.ok()) (void)monitor_->ingest(*parsed);
-  fabric_.schedule(telemetry_interval_ns_,
-                   [this, index] { stage_telemetry_tick(index); });
-}
-
 // --- driver ----------------------------------------------------------------
 
 Status Pipeline::run() {
@@ -659,14 +619,7 @@ Status Pipeline::run() {
   root_span_ = std::make_unique<obs::Span>(cluster_.tracer(0), "stream.pipeline");
   root_ctx_ = root_span_->context();
   pump(0);
-  if (monitor_ != nullptr) {
-    // Arm per-stage telemetry timers in index order so the event queue's
-    // seq tie-break yields the same interleaving on every run.
-    for (std::size_t i = 0; i < stages_.size(); ++i) {
-      fabric_.schedule(telemetry_interval_ns_,
-                       [this, i] { stage_telemetry_tick(i); });
-    }
-  }
+  cluster_.start_telemetry([this](std::size_t) { return !stages_.back()->done; });
   while (!stages_.back()->done) {
     if (fabric_.run_until_idle() == 0) {
       root_span_.reset();

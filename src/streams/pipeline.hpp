@@ -39,7 +39,9 @@
 // root span ("stream.pipeline") on the source's tracer, and one
 // "stage.<name>" span per compute batch adopting the root's remote
 // context — so obs::critical_path() over the merged snapshot names the
-// bottleneck stage as its dominant node.
+// bottleneck stage as its dominant node. With config.telemetry on, the
+// cluster's telemetry plane relays every stage's frames upstream, hop by
+// hop, to the source's monitor.
 #pragma once
 
 #include <deque>
@@ -52,7 +54,6 @@
 #include "bigdata/enclave_cluster.hpp"
 #include "bigdata/streaming.hpp"
 #include "common/thread_pool.hpp"
-#include "obs/telemetry.hpp"
 #include "streams/record.hpp"
 
 namespace securecloud::streams {
@@ -154,6 +155,10 @@ struct PipelineConfig {
   /// Source emits a watermark when event time advanced this far past
   /// the last one.
   std::uint64_t watermark_interval_s = 60;
+  /// EnclaveCluster's telemetry plane (per-node obs mode only): during
+  /// run() every stage's frames travel upstream, stage by stage, to the
+  /// source's monitor (telemetry_monitor()) until the sink saw EOS.
+  bigdata::TelemetryConfig telemetry;
 };
 
 struct StageStats {
@@ -217,17 +222,6 @@ class Pipeline {
   /// Outputs are bit-identical with and without it.
   void set_pool(common::ThreadPool* pool) { pool_ = pool; }
 
-  /// Telemetry plane (obs v3, per-node mode only): every stage samples
-  /// its NodeObs each `interval_ns` of fabric time during run() and
-  /// streams the delta frame — through the wire codec — into `monitor`
-  /// (caller-owned, must outlive run()). Each stage emits at most
-  /// `max_frames_per_stage` frames, so the run() deadlock detector (a
-  /// zero-event idle) still fires on a genuinely stalled stream. Call
-  /// after setup(), before run().
-  Status enable_telemetry(obs::TelemetryMonitor* monitor,
-                          std::uint64_t interval_ns,
-                          std::size_t max_frames_per_stage = 256);
-
   /// Drives the stream to completion: source exhaustion, EOS through
   /// every stage, sink done, all flow traffic settled. Single-shot.
   /// Returns kUnavailable if the fabric idles before the sink saw EOS
@@ -242,6 +236,10 @@ class Pipeline {
 
   /// Merged per-stage observability (per-node mode only).
   Result<obs::ClusterSnapshot> cluster_snapshot() const;
+  /// The source's telemetry monitor; null unless config.telemetry is on.
+  const obs::TelemetryMonitor* telemetry_monitor() const {
+    return cluster_.telemetry_monitor();
+  }
 
   /// The pipeline root span's context (valid during/after run() in
   /// per-node mode); batch spans on every stage parent to it.
@@ -287,9 +285,6 @@ class Pipeline {
     std::vector<Record> pending_in;   // batch awaiting its compute charge
     std::vector<Record> pending_out;  // pre-computed (pure) outputs
 
-    std::unique_ptr<obs::TelemetrySampler> sampler;
-    std::size_t telemetry_frames = 0;
-
     StageStats stats;
     obs::Counter* obs_records_in = nullptr;
     obs::Counter* obs_records_out = nullptr;
@@ -315,7 +310,6 @@ class Pipeline {
   void maybe_grant(Stage& stage);
   void push_out_record(Stage& stage, Record record);
   void apply_pure(Stage& stage);
-  void stage_telemetry_tick(std::size_t index);
   void obs_inc(obs::Counter* counter, std::uint64_t delta = 1) {
     if (counter != nullptr && delta != 0) counter->inc(delta);
   }
@@ -328,9 +322,6 @@ class Pipeline {
   bigdata::EnclaveCluster cluster_;
   std::vector<std::unique_ptr<Stage>> stages_;
   common::ThreadPool* pool_ = nullptr;
-  obs::TelemetryMonitor* monitor_ = nullptr;
-  std::uint64_t telemetry_interval_ns_ = 0;
-  std::size_t telemetry_max_frames_ = 0;
   std::unique_ptr<obs::Span> root_span_;
   obs::TraceContext root_ctx_;
   std::uint64_t run_start_ns_ = 0;

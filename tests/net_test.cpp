@@ -745,8 +745,8 @@ TEST(Flow, QuiesceStopsCountersAndNotifiesPeers) {
 
   // Frames aimed at the dead node are not parsed and bump NOTHING — the
   // counter bit-identity guarantee for chaos runs.
-  (void)fabric.send(a, b, bigdata::FlowConfig{}.chunk_channel, patterned(128, 9));
-  (void)fabric.send(a, b, bigdata::FlowConfig{}.control_channel, patterned(9, 1));
+  (void)fabric.send(a, b, bigdata::FlowNode::kChunkChannel, patterned(128, 9));
+  (void)fabric.send(a, b, bigdata::FlowNode::kControlChannel, patterned(9, 1));
   fabric.run_until_idle();
   EXPECT_EQ(receiver.stats(), frozen);
   EXPECT_TRUE(fabric.idle());
@@ -791,7 +791,7 @@ TEST(Flow, ForgedHighWaterMarkCannotSizeTheGapTable) {
         put_blob(forged, Bytes(40, 0x5C));
       }
       ASSERT_TRUE(fabric
-                      .send(a, b, as_beacon ? fc.control_channel : fc.chunk_channel,
+                      .send(a, b, as_beacon ? bigdata::FlowNode::kControlChannel : bigdata::FlowNode::kChunkChannel,
                             std::move(forged))
                       .ok());
 
@@ -835,7 +835,7 @@ TEST(Flow, ForgedAckCannotWrapInFlightDepth) {
   Bytes forged;
   put_u8(forged, 2);
   put_u64(forged, launched + 1000);
-  ASSERT_TRUE(fabric.send(b, a, fc.control_channel, std::move(forged)).ok());
+  ASSERT_TRUE(fabric.send(b, a, bigdata::FlowNode::kControlChannel, std::move(forged)).ok());
   fabric.run_until_idle();
 
   EXPECT_EQ(got, std::vector<Bytes>{payload});
@@ -871,7 +871,7 @@ TEST(Flow, NackBelowAckRetransmitsNothing) {
   Bytes nack;
   put_u8(nack, 1);
   put_u64(nack, 0);
-  ASSERT_TRUE(fabric.send(b, a, fc.control_channel, std::move(nack)).ok());
+  ASSERT_TRUE(fabric.send(b, a, bigdata::FlowNode::kControlChannel, std::move(nack)).ok());
   fabric.run_until_idle();
 
   EXPECT_EQ(sender.stats().retransmits, 0u);

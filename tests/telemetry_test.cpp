@@ -170,7 +170,9 @@ TEST(TelemetryCodec, ByteFlipsNeverCrash) {
       // flip in a length or count must be a typed error. Either way:
       // total function, no UB, no unbounded allocation.
       auto r = deserialize_telemetry_frame(mutated);
-      if (!r.ok()) EXPECT_FALSE(r.error().message.empty());
+      if (!r.ok()) {
+        EXPECT_FALSE(r.error().message.empty());
+      }
     }
   }
 }
@@ -589,15 +591,16 @@ TEST(TelemetryStreams, PipelineStagesStreamFramesDeterministically) {
             .build();
     EXPECT_TRUE(stages.ok());
 
-    streams::Pipeline pipeline(fabric, std::move(*stages), {});
+    streams::PipelineConfig config;
+    config.telemetry = {.enabled = true, .interval_ns = 100'000};
+    streams::Pipeline pipeline(fabric, std::move(*stages), config);
     common::ThreadPool pool(threads);
     if (threads > 1) pipeline.set_pool(&pool);
     EXPECT_TRUE(pipeline.setup(service).ok());
 
-    TelemetryMonitor monitor({.window_cycles = 500'000, .ring_capacity = 32});
-    EXPECT_TRUE(pipeline.enable_telemetry(&monitor, 100'000).ok());
     EXPECT_TRUE(pipeline.run().ok());
     EXPECT_EQ(delivered, 200u);
+    const TelemetryMonitor& monitor = *pipeline.telemetry_monitor();
     EXPECT_GT(monitor.frames_ingested(), 0u);
     return monitor.timeline_json();
   };
@@ -609,29 +612,128 @@ TEST(TelemetryStreams, PipelineStagesStreamFramesDeterministically) {
   EXPECT_EQ(eight, repeat);
 }
 
-TEST(TelemetryStreams, EnableTelemetryValidatesPreconditions) {
+struct RelayRun {
+  std::vector<std::string> monitored;
+  std::uint64_t frames = 0;
+  std::string timeline;
+  double sunk = 0;
+  streams::PipelineStats stats;
+  net::FabricStats fabric;
+  std::uint64_t middle_payloads_sent = 0;
+};
+
+// A five-stage chain with the source as its monitor: the sink's frames
+// have no link to the source, so they reach it only by being relayed,
+// one attested edge at a time, through every stage between.
+RelayRun run_relay_pipeline(std::size_t threads, bool telemetry) {
   SimClock clock;
   net::Fabric fabric(clock);
   sgx::AttestationService service;
-  auto stages = streams::PipelineBuilder()
-                    .source("s",
-                            []() -> std::optional<streams::Record> {
-                              return std::nullopt;
-                            })
-                    .sink("k", [](const streams::Record&, std::uint64_t) {})
-                    .build();
-  ASSERT_TRUE(stages.ok());
-  streams::Pipeline pipeline(fabric, std::move(*stages), {});
+  std::uint64_t next = 0;
+  RelayRun out;
+  auto stages =
+      streams::PipelineBuilder()
+          .source("gen",
+                  [&]() -> std::optional<streams::Record> {
+                    if (next == 400) return std::nullopt;
+                    streams::Record r;
+                    r.key = "m" + std::to_string(next % 9);
+                    r.timestamp_s = next;
+                    r.value = static_cast<double>(next++);
+                    return r;
+                  })
+          .map("scale",
+               [](const streams::Record& r) {
+                 streams::Record scaled = r;
+                 scaled.value *= 3;
+                 return scaled;
+               })
+          .filter("even", [](const streams::Record& r) { return r.timestamp_s % 2 == 0; })
+          .key_by("rekey", [](const streams::Record& r) { return r.key + "/x"; })
+          .sink("sum", [&](const streams::Record& r, std::uint64_t) { out.sunk += r.value; })
+          .build();
+  EXPECT_TRUE(stages.ok());
+  streams::PipelineConfig config;
+  config.batch_size = 8;
+  config.telemetry = {.enabled = telemetry, .interval_ns = 200'000};
+  streams::Pipeline pipeline(fabric, std::move(*stages), config);
+  common::ThreadPool pool(threads);
+  if (threads > 1) pipeline.set_pool(&pool);
+  EXPECT_TRUE(pipeline.setup(service).ok());
+  EXPECT_TRUE(pipeline.run().ok());
+  if (const TelemetryMonitor* monitor = pipeline.telemetry_monitor()) {
+    out.monitored = monitor->nodes();
+    out.frames = monitor->frames_ingested();
+    out.timeline = monitor->timeline_json();
+  }
+  out.stats = pipeline.stats();
+  out.fabric = fabric.stats();
+  out.middle_payloads_sent =
+      pipeline.stage_obs(2)->registry.counter("net_flow_payloads_sent_total").value();
+  return out;
+}
 
-  TelemetryMonitor monitor;
-  // Before setup: rejected.
-  EXPECT_FALSE(pipeline.enable_telemetry(&monitor, 1000).ok());
-  ASSERT_TRUE(pipeline.setup(service).ok());
-  // Null monitor / zero interval / zero cap: rejected.
-  EXPECT_FALSE(pipeline.enable_telemetry(nullptr, 1000).ok());
-  EXPECT_FALSE(pipeline.enable_telemetry(&monitor, 0).ok());
-  EXPECT_FALSE(pipeline.enable_telemetry(&monitor, 1000, 0).ok());
-  EXPECT_TRUE(pipeline.enable_telemetry(&monitor, 1000).ok());
+TEST(TelemetryStreams, FramesRelayUpTheChainToTheSource) {
+  const RelayRun one = run_relay_pipeline(1, /*telemetry=*/true);
+  const RelayRun eight = run_relay_pipeline(8, /*telemetry=*/true);
+  const RelayRun off = run_relay_pipeline(1, /*telemetry=*/false);
+
+  // Every stage's frames reached the source's monitor, the sink's too.
+  EXPECT_EQ(one.monitored,
+            (std::vector<std::string>{"even", "gen", "rekey", "scale", "sum"}));
+  EXPECT_GE(one.frames, 5u);
+  // The frames rode the fabric: with telemetry on, the middle stage sends
+  // its own and the downstream stages' frames upstream besides its data.
+  EXPECT_GT(one.fabric.bytes_sent, off.fabric.bytes_sent);
+  EXPECT_GT(one.middle_payloads_sent, off.middle_payloads_sent);
+  // The data plane delivers the same records either way.
+  EXPECT_EQ(one.stats.records_delivered, off.stats.records_delivered);
+  EXPECT_EQ(one.stats.records_delivered, 200u);
+  EXPECT_DOUBLE_EQ(one.sunk, off.sunk);
+  EXPECT_TRUE(off.monitored.empty());
+
+  // Bit-identical at 1 and 8 threads.
+  EXPECT_EQ(one.timeline, eight.timeline);
+  EXPECT_EQ(one.stats, eight.stats);
+  EXPECT_DOUBLE_EQ(one.sunk, eight.sunk);
+  EXPECT_EQ(one.fabric.bytes_sent, eight.fabric.bytes_sent);
+  EXPECT_EQ(one.fabric.messages_sent, eight.fabric.messages_sent);
+  EXPECT_EQ(one.fabric.timers_fired, eight.fabric.timers_fired);
+}
+
+TEST(TelemetryStreams, EnableTelemetryValidatesPreconditions) {
+  const auto setup_with = [](bigdata::TelemetryConfig telemetry, bool shared) {
+    SimClock clock;
+    net::Fabric fabric(clock);
+    sgx::AttestationService service;
+    auto stages = streams::PipelineBuilder()
+                      .source("s",
+                              []() -> std::optional<streams::Record> {
+                                return std::nullopt;
+                              })
+                      .sink("k", [](const streams::Record&, std::uint64_t) {})
+                      .build();
+    EXPECT_TRUE(stages.ok());
+    streams::PipelineConfig config;
+    config.telemetry = telemetry;
+    streams::Pipeline pipeline(fabric, std::move(*stages), config);
+    Registry registry;
+    if (shared) pipeline.set_obs(&registry);
+    const Status status = pipeline.setup(service);
+    EXPECT_EQ(pipeline.telemetry_monitor() != nullptr, status.ok() && telemetry.enabled);
+    return status.ok() ? std::optional<ErrorCode>{} : status.error().code;
+  };
+
+  // Zero interval / zero cap / shared registry: rejected.
+  EXPECT_EQ(setup_with({.enabled = true, .interval_ns = 0}, false),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(setup_with({.enabled = true, .interval_ns = 1000, .max_frames_per_run = 0}, false),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(setup_with({.enabled = true, .interval_ns = 1000}, true),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(setup_with({.enabled = true, .interval_ns = 1000}, false), std::nullopt);
+  // Off: nothing to validate.
+  EXPECT_EQ(setup_with({.enabled = false, .interval_ns = 0}, true), std::nullopt);
 }
 
 // ------------------------------------------------------------ TSan hammer
