@@ -28,7 +28,7 @@ constexpr std::uint64_t kEntropySeedBase = 0x5EED;
 constexpr std::size_t kFlightCapacity = 128;
 
 /// Consecutive unanswered beacons before a peer counts as dead
-/// (FlowConfig::beacon_death_threshold while recovery is on).
+/// (FlowConfig::beacon_death_threshold).
 constexpr std::size_t kBeaconDeathThreshold = 8;
 /// EPC-aware placement model: each worker node is a GenPack server with
 /// these capacities, each map task / reduce bundle a container with these
@@ -41,12 +41,10 @@ constexpr double kTaskCpuCores = 1.0;
 constexpr double kTaskMemGb = 1.0;
 constexpr double kTaskEpcMb = 8.0;
 
-DistributedMapReduceConfig with_recovery_knobs(DistributedMapReduceConfig config) {
-  // Silent-death detection depends on the flow liveness machinery.
-  if (config.recovery.enabled) {
-    config.cluster.flow.beacon_death_threshold = kBeaconDeathThreshold;
-  }
-  return config;
+/// Silent-death detection depends on the flow liveness machinery.
+FlowConfig with_death_threshold(FlowConfig flow) {
+  flow.beacon_death_threshold = kBeaconDeathThreshold;
+  return flow;
 }
 }  // namespace
 
@@ -100,10 +98,8 @@ Result<AssignRecord> decode_assignment(ByteView body) {
 DistributedMapReduce::DistributedMapReduce(net::Fabric& fabric,
                                            DistributedMapReduceConfig config)
     : fabric_(fabric),
-      config_(with_recovery_knobs(std::move(config))),
-      cluster_(fabric, config_.cluster, kFlightCapacity,
-               config_.recovery.enabled ? EnclaveCluster::kSessionRetry
-                                        : EnclaveCluster::RetryConfig{}) {}
+      config_(std::move(config)),
+      cluster_(fabric, with_death_threshold(config_.flow), kFlightCapacity) {}
 
 DistributedMapReduce::~DistributedMapReduce() = default;
 
@@ -226,8 +222,6 @@ Status DistributedMapReduce::setup(sgx::AttestationService& service) {
   // --- attested sessions carrying the job key and layout ------------------
   // The cluster mints the job key on the coordinator; each worker's edge
   // releases it, with the job layout, as the edge's first sealed record.
-  // A session that fails after setup (e.g. a recovery-time rekey that
-  // exhausts its retransmit budget) is a liveness signal for the peer.
   std::vector<EnclaveCluster::Edge> edges;
   for (std::size_t w = 0; w < config_.num_workers; ++w) {
     Bytes layout;
@@ -240,11 +234,6 @@ Status DistributedMapReduce::setup(sgx::AttestationService& service) {
     for (const auto& peer : workers_) put_u64(layout, peer->node);
     edges.push_back({kCoordinator, w + 1, std::move(layout)});
   }
-  cluster_.set_on_session_failure([this](std::size_t node, std::size_t peer) {
-    if (node == kCoordinator && ready_ && config_.recovery.enabled) {
-      handle_worker_death(peer - 1);
-    }
-  });
   SC_RETURN_IF_ERROR(cluster_.attest(
       edges,
       [this](std::size_t node, net::NodeId from, Bytes payload, obs::TraceContext ctx) {
@@ -258,12 +247,10 @@ Status DistributedMapReduce::setup(sgx::AttestationService& service) {
         return worker_on_layout(*workers_[node - 1], layout);
       }));
 
-  if (config_.recovery.enabled) {
-    // The failure detector: a worker flow that sent kDead (dying host's
-    // RST) or went silent past the beacon threshold is pronounced dead.
-    coordinator_flow().set_on_peer_dead(
-        [this](net::NodeId node) { on_worker_node_dead(node); });
-  }
+  // The failure detector: a worker flow that sent kDead (dying host's
+  // RST) or went silent past the beacon threshold is pronounced dead.
+  coordinator_flow().set_on_peer_dead(
+      [this](net::NodeId node) { on_worker_node_dead(node); });
 
   ready_ = true;
   return {};
@@ -959,7 +946,6 @@ void DistributedMapReduce::on_worker_node_dead(net::NodeId node) {
 
 void DistributedMapReduce::handle_worker_death(std::size_t w) {
   if (w >= workers_.size() || !worker_alive_[w]) return;
-  if (!config_.recovery.enabled) return;
   if (job_error_.has_value()) return;  // aborting anyway (e.g. integrity)
   worker_alive_[w] = false;
   bump(obs_worker_deaths_);
@@ -1016,14 +1002,6 @@ void DistributedMapReduce::handle_worker_death(std::size_t w) {
       }
     }
     broadcast_assignment(reassigns);
-  }
-
-  // The dead node's platform is presumed compromised: rotate every
-  // surviving session's record keys over the live fabric. Best effort —
-  // a rekey that exhausts its retransmit budget re-enters this handler
-  // for that peer via on_failure.
-  for (std::size_t v = 0; v < config_.num_workers; ++v) {
-    if (worker_alive_[v]) (void)cluster_.session(kCoordinator, v + 1)->rehandshake();
   }
 }
 
@@ -1205,13 +1183,11 @@ Result<JobResult> DistributedMapReduce::run(
 
   const std::uint64_t cycles_before = fabric_.clock().cycles();
   for (std::uint64_t t = 0; t < W; ++t) send_map_task(task_executors_[t].front(), t);
-  if (config_.recovery.enabled && initial_shift) {
-    broadcast_assignment(initial_reassigns);
-  }
+  if (initial_shift) broadcast_assignment(initial_reassigns);
 
   // One serial event loop drives the entire job: task delivery, map
   // compute, shuffle, NACK recovery timers, reduce, result collection —
-  // and, when a worker dies, detection + re-execution + rekeys.
+  // and, when a worker dies, detection + re-execution.
   fabric_.run_until_idle();
 
   // Probe-and-recover: a worker that died while the coordinator had
@@ -1222,37 +1198,35 @@ Result<JobResult> DistributedMapReduce::run(
   // silence trips the beacon death threshold, whose on_peer_dead kicks
   // re-execution inside the same drained loop. Rounds are bounded — one
   // death per round at worst.
-  if (config_.recovery.enabled) {
-    std::size_t rounds = 0;
-    while (!job_error_.has_value() && results_seen_.size() < W && rounds <= W) {
-      ++rounds;
-      const std::size_t alive_before = alive_count();
-      bool probed = false;
-      for (std::size_t w = 0; w < W; ++w) {
-        if (!worker_alive_[w]) continue;
-        bool owes = false;
-        for (std::uint64_t t = 0; t < W && !owes; ++t) {
-          owes = map_done_seen_.count(t) == 0 &&
-                 std::find(task_executors_[t].begin(), task_executors_[t].end(),
-                           w) != task_executors_[t].end();
-        }
-        for (std::uint64_t b = 0; b < W && !owes; ++b) {
-          owes = results_seen_.count(b) == 0 &&
-                 std::find(bundle_owners_[b].begin(), bundle_owners_[b].end(),
-                           w) != bundle_owners_[b].end();
-        }
-        if (!owes) continue;
-        Bytes ping;
-        put_u8(ping, kPing);
-        put_u64(ping, epoch_);
-        if (coordinator_flow().send(workers_[w]->node, ping, run_ctx_).ok()) {
-          probed = true;
-        }
+  std::size_t rounds = 0;
+  while (!job_error_.has_value() && results_seen_.size() < W && rounds <= W) {
+    ++rounds;
+    const std::size_t alive_before = alive_count();
+    bool probed = false;
+    for (std::size_t w = 0; w < W; ++w) {
+      if (!worker_alive_[w]) continue;
+      bool owes = false;
+      for (std::uint64_t t = 0; t < W && !owes; ++t) {
+        owes = map_done_seen_.count(t) == 0 &&
+               std::find(task_executors_[t].begin(), task_executors_[t].end(),
+                         w) != task_executors_[t].end();
       }
-      if (!probed) break;
-      fabric_.run_until_idle();
-      if (alive_count() == alive_before) break;  // nothing new learned
+      for (std::uint64_t b = 0; b < W && !owes; ++b) {
+        owes = results_seen_.count(b) == 0 &&
+               std::find(bundle_owners_[b].begin(), bundle_owners_[b].end(),
+                         w) != bundle_owners_[b].end();
+      }
+      if (!owes) continue;
+      Bytes ping;
+      put_u8(ping, kPing);
+      put_u64(ping, epoch_);
+      if (coordinator_flow().send(workers_[w]->node, ping, run_ctx_).ok()) {
+        probed = true;
+      }
     }
+    if (!probed) break;
+    fabric_.run_until_idle();
+    if (alive_count() == alive_before) break;  // nothing new learned
   }
 
   // Failure paths reach here with the span still open (the success path

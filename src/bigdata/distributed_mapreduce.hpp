@@ -23,19 +23,20 @@
 //                     owner's node*, reduce on block-complete, and the
 //                     coordinator merges worker results in index order.
 //
-// Failure tolerance (RecoveryConfig, on by default): work is identified
-// by *logical* ids — map task t and reduce bundle b (the reducers
+// Failure tolerance: work is identified by *logical* ids — map task t and reduce bundle b (the reducers
 // {r : r % W == b}) — decoupled from the worker executing them. Shuffle
 // and result nonces/AADs are pure functions of (epoch, task/bundle), so
 // a task re-executed on any surviving node reproduces byte-identical
 // sealed blocks, and the coordinator dedups kMapDone/kResult by id
-// (first result in event order wins). Dead workers are detected through
-// FlowNode kDead stream-abandons, the beacon death threshold (silent
-// death), or AttestedSession failure; recovery re-places the victim's
-// containers through EPC-aware GenPack bin-packing, re-sends its map
-// tasks, reassigns its reduce bundles (kAssign broadcast: peers resend
-// their cached produced blocks to the new owner), and rotates every
-// surviving session's keys via rehandshake.
+// (first result in event order wins). The coordinator's flow is the one
+// death signal: a worker is dead when its FlowNode sent kDead (stream
+// abandon) or went silent past the beacon death threshold. The attested
+// sessions only release the job key; a failed session is a flight event,
+// never a death. Recovery re-places the victim's containers through
+// EPC-aware GenPack bin-packing, re-sends its map tasks, and reassigns its
+// reduce bundles (kAssign broadcast: peers resend their cached produced
+// blocks to the new owner). The job key is not rotated: a worker declared
+// dead keeps a valid copy (SECURITY.md, Known limitations).
 //
 // Speculative re-execution (SpeculationConfig, off by default): when all
 // but the stragglers have reported map-done, a deferred check launches
@@ -69,8 +70,10 @@ struct DistributedMapReduceConfig {
   std::size_t num_workers = 4;
   std::size_t num_reducers = 4;
   bool enable_combiner = false;
-  /// Mesh links and flows.
-  ClusterConfig cluster;
+  /// Every node's flow (mesh links take net::LinkConfig's defaults). The
+  /// driver replaces beacon_death_threshold with its own constant
+  /// (distributed_mapreduce.cpp).
+  FlowConfig flow;
   /// Simulated worker compute charged into *fabric* time before a
   /// worker's shuffle (map) or result (reduce) leaves its node, scaled
   /// by the node's Fabric compute skew — the straggler model: a 4x-skew
@@ -78,16 +81,6 @@ struct DistributedMapReduceConfig {
   /// critical-path analyzer then attributes to that node.
   std::uint64_t map_compute_ns_per_record = 20'000;
   std::uint64_t reduce_compute_ns_per_pair = 2'000;
-
-  /// Worker-death recovery. When enabled, the driver arms the flow beacon
-  /// death threshold and handshake retransmits on every session
-  /// (EnclaveCluster::kSessionRetry), so setup and recovery-time rekeys
-  /// survive armed kNetLoss. The threshold and the placement model's
-  /// capacities are constants in distributed_mapreduce.cpp.
-  struct RecoveryConfig {
-    bool enabled = true;
-  };
-  RecoveryConfig recovery;
 
   /// Speculative re-execution of stragglers.
   struct SpeculationConfig {
@@ -141,8 +134,7 @@ class DistributedMapReduce {
   ~DistributedMapReduce();
 
   /// Builds the cluster and attests every worker (see file comment).
-  /// With recovery enabled the handshakes retransmit through armed net
-  /// faults; with it disabled, run setup before arming faults.
+  /// The handshakes retransmit through armed net faults.
   Status setup(sgx::AttestationService& service);
 
   /// Encrypts plaintext records into job-input format under the job key
@@ -325,7 +317,7 @@ class DistributedMapReduce {
   void on_telemetry_alert(const obs::Alert& alert);
 
   // --- recovery / speculation (coordinator side) ---
-  /// Peer-death signal (flow kDead / beacon timeout / session failure).
+  /// Peer-death signal (flow kDead / beacon timeout).
   void on_worker_node_dead(net::NodeId node);
   void handle_worker_death(std::size_t w);
   /// Re-places `spec` through EPC-aware bin-packing over surviving

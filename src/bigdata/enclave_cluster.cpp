@@ -8,14 +8,14 @@ namespace {
 /// Telemetry monitor rollup window and ring depth (timeseries.hpp).
 constexpr std::uint64_t kTelemetryWindowCycles = 4'000'000;
 constexpr std::size_t kTelemetryRingCapacity = 64;
+/// Handshake retransmits that let setup ride out armed kNetLoss.
+constexpr net::AttestedSession::Config::RetryConfig kSessionRetry{
+    .retransmit_timeout_ns = 3'000'000, .max_retries = 12};
 }  // namespace
 
-EnclaveCluster::EnclaveCluster(net::Fabric& fabric, ClusterConfig config,
-                               std::size_t flight_capacity, RetryConfig session_retry)
-    : fabric_(fabric),
-      config_(std::move(config)),
-      flight_capacity_(flight_capacity),
-      session_retry_(session_retry) {}
+EnclaveCluster::EnclaveCluster(net::Fabric& fabric, FlowConfig flow,
+                               std::size_t flight_capacity)
+    : fabric_(fabric), flow_config_(flow), flight_capacity_(flight_capacity) {}
 
 EnclaveCluster::~EnclaveCluster() = default;
 
@@ -94,15 +94,11 @@ net::AttestedSession& EnclaveCluster::open_session(net::AttestedSession::Role ro
                 .platform = node.platform.get(),
                 .attestation = service_,
                 .expected_peer_mrenclave = policy_,
-                .retry = session_retry_,
+                .retry = kSessionRetry,
             });
   net::AttestedSession& session = *slot;
   session.set_obs(registry(self));
   session.set_flight(flight(self));
-  if (on_failure_) {
-    session.set_on_failure(
-        [this, self, peer](const Status&) { on_failure_(self, peer); });
-  }
   node.demux->add(nodes_[peer]->id, &session);
   return session;
 }
@@ -163,7 +159,7 @@ bool EnclaveCluster::on_first_record(std::size_t i, ByteView record) {
 void EnclaveCluster::attach_flow(std::size_t i, Bytes key) {
   Node& node = *nodes_[i];
   node.key = std::move(key);
-  node.flow = std::make_unique<FlowNode>(fabric_, node.id, node.key, config_.flow);
+  node.flow = std::make_unique<FlowNode>(fabric_, node.id, node.key, flow_config_);
   node.flow->set_obs(registry(i));
   node.flow->set_flight(flight(i));
   node.flow->set_on_payload(

@@ -61,12 +61,6 @@
 
 namespace securecloud::bigdata {
 
-/// What every fabric-hosted app configures the same way (links take
-/// net::LinkConfig's defaults).
-struct ClusterConfig {
-  FlowConfig flow;
-};
-
 /// The live telemetry plane (see the file comment).
 struct TelemetryConfig {
   bool enabled = false;
@@ -79,11 +73,6 @@ struct TelemetryConfig {
 
 class EnclaveCluster {
  public:
-  using RetryConfig = net::AttestedSession::Config::RetryConfig;
-  /// Handshake retransmits that let setup (and later rekeys) ride out
-  /// armed kNetLoss.
-  static constexpr RetryConfig kSessionRetry{.retransmit_timeout_ns = 3'000'000,
-                                             .max_retries = 12};
   /// First payload byte of a telemetry frame on a flow; reserved.
   static constexpr std::uint8_t kTelemetryTag = 7;
 
@@ -101,12 +90,9 @@ class EnclaveCluster {
   /// A payload delivered to node `node` by its FlowNode.
   using OnPayload = std::function<void(std::size_t node, net::NodeId from, Bytes payload,
                                        obs::TraceContext trace)>;
-  /// A session on `node` toward `peer` failed.
-  using OnSessionFailure = std::function<void(std::size_t node, std::size_t peer)>;
-
-  /// The fabric must outlive the cluster.
-  EnclaveCluster(net::Fabric& fabric, ClusterConfig config,
-                 std::size_t flight_capacity, RetryConfig session_retry = kSessionRetry);
+  /// The fabric must outlive the cluster. Every node's FlowNode runs
+  /// `flow`; links take net::LinkConfig's defaults.
+  EnclaveCluster(net::Fabric& fabric, FlowConfig flow, std::size_t flight_capacity);
   EnclaveCluster(const EnclaveCluster&) = delete;
   EnclaveCluster& operator=(const EnclaveCluster&) = delete;
   ~EnclaveCluster();
@@ -123,8 +109,6 @@ class EnclaveCluster {
   /// Builds every node's bundle (see the ordering contract). Every node
   /// runs the canonical worker image; its measurement is the pin.
   Status boot(sgx::AttestationService& service);
-
-  void set_on_session_failure(OnSessionFailure fn) { on_failure_ = std::move(fn); }
 
   /// Mints the app key and releases it over `edges` in order (see the
   /// ordering contract); every node that holds the key gets a FlowNode
@@ -207,9 +191,8 @@ class EnclaveCluster {
   void ingest_telemetry(ByteView frame);
 
   net::Fabric& fabric_;
-  ClusterConfig config_;
+  FlowConfig flow_config_;
   std::size_t flight_capacity_;
-  RetryConfig session_retry_;
   bool booted_ = false;
   bool shared_ = false;
   obs::Registry* shared_registry_ = nullptr;
@@ -219,7 +202,6 @@ class EnclaveCluster {
   std::map<net::NodeId, std::size_t> index_of_;
   AcceptLayout accept_;
   OnPayload on_payload_;
-  OnSessionFailure on_failure_;
   TelemetryConfig telemetry_;
   std::unique_ptr<obs::TelemetryMonitor> monitor_;
   obs::Counter* telemetry_frames_ = nullptr;

@@ -31,13 +31,12 @@ const crypto::Sha256Digest& AttestedSession::transcript_hash() const {
 
 void AttestedSession::set_obs(obs::Registry* registry) {
   if (registry == nullptr) {
-    obs_established_ = obs_failed_ = obs_rehandshakes_ = obs_retransmits_ =
-        obs_records_sent_ = obs_records_received_ = obs_records_rejected_ = nullptr;
+    obs_established_ = obs_failed_ = obs_retransmits_ = obs_records_sent_ =
+        obs_records_received_ = obs_records_rejected_ = nullptr;
     return;
   }
   obs_established_ = &registry->counter("net_sessions_established_total");
   obs_failed_ = &registry->counter("net_sessions_failed_total");
-  obs_rehandshakes_ = &registry->counter("net_session_rehandshakes_total");
   obs_retransmits_ = &registry->counter("net_session_handshake_retransmits_total");
   obs_records_sent_ = &registry->counter("net_session_records_sent_total");
   obs_records_received_ = &registry->counter("net_session_records_received_total");
@@ -54,15 +53,12 @@ void AttestedSession::fail(Status status) {
                     "peer=" + std::to_string(config_.peer) + " " +
                         failure_.error().message);
   }
-  if (on_failure_) on_failure_(failure_);
 }
 
 void AttestedSession::mark_established() {
   state_ = State::kEstablished;
   ++timer_generation_;  // stop retransmitting — the handshake is done
   if (obs_established_ != nullptr) obs_established_->inc();
-  if (established_once_ && obs_rehandshakes_ != nullptr) obs_rehandshakes_->inc();
-  established_once_ = true;
 }
 
 void AttestedSession::arm_retransmit() {
@@ -134,33 +130,6 @@ Status AttestedSession::start() {
   return sent;
 }
 
-Status AttestedSession::rehandshake() {
-  if (role_ != Role::kInitiator) {
-    return Error::invalid_argument("rehandshake() is for the initiator");
-  }
-  if (state_ != State::kEstablished) {
-    return Error::unavailable("session not established");
-  }
-  // Fresh ephemeral key: the responder tells this apart from a
-  // retransmitted Hello because the key differs, and restarts too.
-  handshake_.emplace(crypto::ChannelHandshake::Role::kInitiator,
-                     config_.platform->entropy());
-  Bytes wire;
-  put_u8(wire, kHello);
-  put_blob(wire, handshake_->local_public_key());
-  cached_hello_wire_ = wire;
-  state_ = State::kAwaitingReply;
-  ++timer_generation_;
-  retries_left_ = config_.retry.max_retries;
-  Status sent = send_raw(std::move(wire));
-  if (!sent.ok()) {
-    fail(sent);
-    return sent;
-  }
-  arm_retransmit();
-  return {};
-}
-
 void AttestedSession::on_message(const Message& message) {
   if (state_ == State::kFailed) return;
   if (message.payload.empty()) {
@@ -200,18 +169,15 @@ void AttestedSession::handle_hello(const Message& message) {
     return;
   }
   if (state_ != State::kIdle) {
-    if (have_peer_hello_key_ && *peer_key == peer_hello_key_) {
-      // Retransmitted Hello: our HelloReply was lost. Re-send it
-      // verbatim instead of recomputing (the transcript must not fork).
-      if (state_ == State::kAwaitingFinish && !cached_reply_wire_.empty()) {
-        if (obs_retransmits_ != nullptr) obs_retransmits_->inc();
-        (void)send_raw(Bytes(cached_reply_wire_));
-      }
-      return;
+    // A responder answers one initiator key. A retransmitted Hello means
+    // our HelloReply was lost: re-send it verbatim instead of recomputing
+    // (the transcript must not fork). A Hello with any other key is not
+    // from this session's initiator; it is dropped.
+    if (*peer_key == peer_hello_key_ && state_ == State::kAwaitingFinish) {
+      if (obs_retransmits_ != nullptr) obs_retransmits_->inc();
+      (void)send_raw(Bytes(cached_reply_wire_));
     }
-    // A *different* ephemeral key is a restart: either the initiator
-    // gave up on a half-open handshake, or an established peer is
-    // rotating keys (rehandshake). Run the handshake afresh.
+    return;
   }
   crypto::ChannelHandshake handshake(crypto::ChannelHandshake::Role::kResponder,
                                      config_.platform->entropy());
@@ -232,7 +198,6 @@ void AttestedSession::handle_hello(const Message& message) {
   put_blob(reply, *quote);
   cached_reply_wire_ = reply;
   peer_hello_key_ = *peer_key;
-  have_peer_hello_key_ = true;
   state_ = State::kAwaitingFinish;
   ++timer_generation_;
   retries_left_ = config_.retry.max_retries;
@@ -343,14 +308,10 @@ void AttestedSession::handle_data(const Message& message) {
     return;
   }
   if (obs_records_received_ != nullptr) obs_records_received_->inc();
-  if (on_record_ctx_) {
-    on_record_ctx_(std::move(*plain), message.trace);
-  } else if (on_record_) {
-    on_record_(std::move(*plain));
-  }
+  if (on_record_) on_record_(std::move(*plain));
 }
 
-Status AttestedSession::send(ByteView plaintext, obs::TraceContext trace) {
+Status AttestedSession::send(ByteView plaintext) {
   if (state_ != State::kEstablished) {
     return Error::unavailable("session not established");
   }
@@ -358,7 +319,7 @@ Status AttestedSession::send(ByteView plaintext, obs::TraceContext trace) {
   put_u8(wire, kData);
   put_blob(wire, channel_->seal(plaintext));
   if (obs_records_sent_ != nullptr) obs_records_sent_->inc();
-  return send_raw(std::move(wire), trace);
+  return send_raw(std::move(wire));
 }
 
 }  // namespace securecloud::net

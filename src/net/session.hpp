@@ -21,11 +21,12 @@
 // covered by an optional bounded retransmit timer (Config::retry): the
 // side waiting on a reply re-sends its last handshake message until the
 // reply lands or the budget exhausts (typed kUnavailable) — so sessions
-// survive armed kNetLoss during setup. An established initiator can
-// also rehandshake(): a fresh Hello with a new ephemeral key runs the
-// full transcript again and rotates the record keys over the live
-// fabric (the responder tells a rekey from a retransmitted Hello by the
-// ephemeral key changing).
+// survive armed kNetLoss during setup. A responder answers one
+// initiator key: a retransmitted Hello gets the cached reply verbatim,
+// and a Hello carrying any other key is dropped, so an injected frame
+// cannot restart an established session. A session's job ends with the
+// handshake and the records sealed over it; liveness is the flow
+// layer's to judge.
 #pragma once
 
 #include <optional>
@@ -85,32 +86,17 @@ class AttestedSession {
   /// fabric delivers events.
   Status start();
 
-  /// Initiator only, established sessions only: runs the handshake again
-  /// with a fresh ephemeral key, rotating the record keys (and the
-  /// transcript hash) once it completes. Records cannot be sent while
-  /// the rekey is in flight (send() returns kUnavailable) — rekey at
-  /// protocol-quiescent points.
-  Status rehandshake();
-
   /// Feeds one fabric message to the session state machine. Safe to call
   /// from a fabric handler (may send follow-up messages).
   void on_message(const Message& message);
 
   /// Seals `plaintext` into a Data record and sends it. kFailedPrecondition
-  /// -free design: returns kUnavailable until established. `trace`
-  /// (optional) rides the fabric frame envelope — the record itself is
-  /// sealed, the context is routing metadata.
-  Status send(ByteView plaintext, obs::TraceContext trace = {});
+  /// -free design: returns kUnavailable until established.
+  Status send(ByteView plaintext);
 
   /// Delivery callback for opened Data records.
   using OnRecord = std::function<void(Bytes plaintext)>;
   void set_on_record(OnRecord fn) { on_record_ = std::move(fn); }
-
-  /// Context-aware variant: also receives the trace context the record
-  /// arrived with (invalid when the sender attached none). When set, it
-  /// is preferred over the plain callback.
-  using OnRecordCtx = std::function<void(Bytes plaintext, obs::TraceContext)>;
-  void set_on_record_ctx(OnRecordCtx fn) { on_record_ctx_ = std::move(fn); }
 
   State state() const { return state_; }
   bool established() const { return state_ == State::kEstablished; }
@@ -120,16 +106,12 @@ class AttestedSession {
   /// after HelloReply).
   const crypto::Sha256Digest& transcript_hash() const;
 
-  /// `net_session_*` counters: established/failed handshakes, records in/out.
+  /// `net_session_*` counters: established/failed handshakes, handshake
+  /// retransmits, records in/out.
   void set_obs(obs::Registry* registry);
 
   /// Flight recorder notified of session failures (postmortem trail).
   void set_flight(obs::FlightRecorder* flight) { flight_ = flight; }
-
-  /// Invoked (after state moves to kFailed) whenever the session fails —
-  /// lets a driver treat session death as a node-liveness signal.
-  using OnFailure = std::function<void(const Status&)>;
-  void set_on_failure(OnFailure fn) { on_failure_ = std::move(fn); }
 
  private:
   // Wire record types (first byte of every session message).
@@ -138,9 +120,9 @@ class AttestedSession {
   static constexpr std::uint8_t kFinish = 3;
   static constexpr std::uint8_t kData = 4;
 
-  Status send_raw(Bytes wire, obs::TraceContext trace = {}) {
+  Status send_raw(Bytes wire) {
     return config_.fabric->send(config_.self, config_.peer, config_.channel,
-                                std::move(wire), trace);
+                                std::move(wire));
   }
   /// Produces this side's quote with report_data = H(transcript).
   Result<Bytes> make_bound_quote() const;
@@ -155,7 +137,7 @@ class AttestedSession {
   /// (Re)arms the retransmit timer for the current awaiting state.
   void arm_retransmit();
   void on_retransmit_timer(std::uint64_t generation);
-  /// Marks establishment, bumping established / rehandshake counters.
+  /// Marks establishment, bumping the established counter.
   void mark_established();
 
   Role role_;
@@ -165,26 +147,22 @@ class AttestedSession {
   std::optional<crypto::ChannelHandshake> handshake_;
   std::optional<crypto::SecureChannel> channel_;
   OnRecord on_record_;
-  OnRecordCtx on_record_ctx_;
-  OnFailure on_failure_;
   obs::FlightRecorder* flight_ = nullptr;
 
   // Retransmit state: the last handshake message this side sent (re-sent
-  // verbatim on timer or on a duplicate from the peer), the peer's last
-  // Hello key (to tell retransmit from rekey), and a generation counter
-  // that invalidates timers armed for superseded states.
+  // verbatim on timer or on a duplicate from the peer), the key of the
+  // Hello this responder answered (to tell a retransmit from a foreign
+  // Hello), and a generation counter that invalidates timers armed for
+  // superseded states.
   Bytes cached_hello_wire_;
   Bytes cached_reply_wire_;
   Bytes cached_finish_wire_;
   crypto::X25519Key peer_hello_key_{};
-  bool have_peer_hello_key_ = false;
   std::uint64_t timer_generation_ = 0;
   std::size_t retries_left_ = 0;
-  bool established_once_ = false;
 
   obs::Counter* obs_established_ = nullptr;
   obs::Counter* obs_failed_ = nullptr;
-  obs::Counter* obs_rehandshakes_ = nullptr;
   obs::Counter* obs_retransmits_ = nullptr;
   obs::Counter* obs_records_sent_ = nullptr;
   obs::Counter* obs_records_received_ = nullptr;

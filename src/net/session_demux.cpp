@@ -14,8 +14,6 @@ void SessionDemux::add(NodeId peer, AttestedSession* session) {
   sessions_[peer] = session;
 }
 
-void SessionDemux::remove(NodeId peer) { sessions_.erase(peer); }
-
 void SessionDemux::on_message(const Message& message) {
   auto it = sessions_.find(message.src);
   if (it == sessions_.end() || it->second == nullptr) {

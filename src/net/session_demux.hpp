@@ -28,9 +28,8 @@ class SessionDemux {
   Status bind();
 
   /// Routes future messages from `peer` to `session`. A later add() for
-  /// the same peer replaces the route (rehandshake with a fresh session).
+  /// the same peer replaces the route.
   void add(NodeId peer, AttestedSession* session);
-  void remove(NodeId peer);
 
   std::size_t session_count() const { return sessions_.size(); }
   std::uint64_t unknown_peer_drops() const { return unknown_peer_drops_; }

@@ -29,7 +29,7 @@ constexpr std::size_t kFlightCapacity = 64;
 FabricOverlay::FabricOverlay(net::Fabric& fabric, FabricOverlayConfig config)
     : fabric_(fabric),
       config_(std::move(config)),
-      cluster_(fabric, config_.cluster, kFlightCapacity) {
+      cluster_(fabric, config_.flow, kFlightCapacity) {
   if (config_.links.empty() && config_.broker_count > 1) {
     for (BrokerId i = 0; i + 1 < config_.broker_count; ++i) {
       config_.links.emplace_back(i, i + 1);

@@ -55,8 +55,8 @@ struct FabricOverlayConfig {
   /// dissemination and routing both need every broker reachable). Empty
   /// means the chain 0-1-...-n-1.
   std::vector<std::pair<BrokerId, BrokerId>> links;
-  /// Overlay edges and flows.
-  bigdata::ClusterConfig cluster;
+  /// Every broker's flow (overlay links take net::LinkConfig's defaults).
+  bigdata::FlowConfig flow;
   /// Record every (publication, broker, subscription) delivery triple.
   /// Benchmarks with millions of deliveries turn this off and read the
   /// counters instead.

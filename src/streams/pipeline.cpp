@@ -211,7 +211,7 @@ Pipeline::Pipeline(net::Fabric& fabric, std::vector<StageSpec> stages,
                    PipelineConfig config)
     : fabric_(fabric),
       config_(std::move(config)),
-      cluster_(fabric, config_.cluster, kFlightCapacity) {
+      cluster_(fabric, config_.flow, kFlightCapacity) {
   topology_ = validate_stages(stages);
   for (std::size_t i = 0; i < stages.size(); ++i) {
     auto stage = std::make_unique<Stage>();

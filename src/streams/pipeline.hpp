@@ -140,8 +140,8 @@ class PipelineBuilder {
 };
 
 struct PipelineConfig {
-  /// Inter-stage links and flows.
-  bigdata::ClusterConfig cluster;
+  /// Every stage's flow (inter-stage links take net::LinkConfig's defaults).
+  bigdata::FlowConfig flow;
   /// Records a stage may have outstanding (sent, not yet granted back)
   /// toward its downstream; also the source's output-queue bound, so
   /// per-stage memory is O(credit_window) regardless of stream length.

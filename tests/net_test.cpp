@@ -523,9 +523,6 @@ TEST(AttestedSession, RetransmitBudgetExhaustsAsTypedFailure) {
   ASSERT_TRUE(responder.bind().ok());
   ASSERT_TRUE(initiator.bind().ok());
 
-  Status seen_failure;
-  initiator.set_on_failure([&](const Status& s) { seen_failure = s; });
-
   // Total blackout: every retransmit is swallowed. The budget must
   // exhaust into a *typed* failure with the fabric idle — not an
   // infinite retransmit storm, not a silent hang.
@@ -535,15 +532,17 @@ TEST(AttestedSession, RetransmitBudgetExhaustsAsTypedFailure) {
 
   EXPECT_EQ(initiator.state(), net::AttestedSession::State::kFailed);
   EXPECT_EQ(initiator.failure().error().code, ErrorCode::kUnavailable);
-  EXPECT_EQ(seen_failure.error().code, ErrorCode::kUnavailable);
   EXPECT_TRUE(rig.fabric.idle());
 }
 
-TEST(AttestedSession, RehandshakeRotatesKeysOnLiveChannel) {
+// The host can inject a Hello with a key of its own into an established
+// session. The responder answered its initiator's key once; any other
+// key is dropped, so the session neither restarts nor fails, and records
+// keep flowing under the keys the handshake agreed.
+TEST(AttestedSession, ForeignHelloLeavesEstablishedResponderUp) {
   SessionRig rig;
   rig.platform_a->provision(rig.service);
   rig.platform_b->provision(rig.service);
-  obs::Registry registry;
 
   net::AttestedSession responder(
       net::AttestedSession::Role::kResponder,
@@ -551,36 +550,31 @@ TEST(AttestedSession, RehandshakeRotatesKeysOnLiveChannel) {
   net::AttestedSession initiator(
       net::AttestedSession::Role::kInitiator,
       rig.config(rig.a, rig.b, *rig.platform_a, rig.enclave_a));
-  responder.set_obs(&registry);
-  initiator.set_obs(&registry);
   ASSERT_TRUE(responder.bind().ok());
   ASSERT_TRUE(initiator.bind().ok());
   ASSERT_TRUE(initiator.start().ok());
   rig.fabric.run_until_idle();
-  ASSERT_TRUE(initiator.established());
-  const auto old_transcript = initiator.transcript_hash();
+  ASSERT_TRUE(responder.established());
+  const crypto::Sha256Digest transcript = responder.transcript_hash();
 
-  ASSERT_TRUE(initiator.rehandshake().ok());
+  const crypto::ChannelHandshake foreign(crypto::ChannelHandshake::Role::kInitiator,
+                                         rig.platform_a->entropy());
+  Bytes hello;
+  put_u8(hello, 1);  // kHello
+  put_blob(hello, foreign.local_public_key());
+  ASSERT_TRUE(rig.fabric.send(rig.a, rig.b, 1, std::move(hello)).ok());
   rig.fabric.run_until_idle();
 
-  // Fresh ephemeral keys, fresh transcript — and both ends agree on it.
-  ASSERT_TRUE(initiator.established()) << initiator.failure().error().message;
-  ASSERT_TRUE(responder.established()) << responder.failure().error().message;
-  EXPECT_NE(initiator.transcript_hash(), old_transcript);
-  EXPECT_EQ(initiator.transcript_hash(), responder.transcript_hash());
-  // Both ends share the registry: the initiator counts its rehandshake()
-  // and the responder counts the rekey it performs on the fresh Hello.
-  EXPECT_EQ(registry.counter("net_session_rehandshakes_total").value(), 2u);
+  EXPECT_EQ(responder.state(), net::AttestedSession::State::kEstablished)
+      << responder.failure().error().message;
+  EXPECT_EQ(responder.transcript_hash(), transcript);
+  EXPECT_TRUE(initiator.established());
 
-  // Records flow under the rotated keys, both directions.
-  Bytes at_responder, at_initiator;
+  Bytes at_responder;
   responder.set_on_record([&](Bytes p) { at_responder = std::move(p); });
-  initiator.set_on_record([&](Bytes p) { at_initiator = std::move(p); });
-  ASSERT_TRUE(initiator.send(bytes_of("rotated")).ok());
-  ASSERT_TRUE(responder.send(bytes_of("indeed")).ok());
+  ASSERT_TRUE(initiator.send(bytes_of("still-keyed")).ok());
   rig.fabric.run_until_idle();
-  EXPECT_EQ(at_responder, bytes_of("rotated"));
-  EXPECT_EQ(at_initiator, bytes_of("indeed"));
+  EXPECT_EQ(at_responder, bytes_of("still-keyed"));
 }
 
 // ---------------------------------------------------------------- FlowNode
@@ -1549,12 +1543,9 @@ std::string run_postmortem_job(std::size_t threads) {
   // tiny NACK budget: the first lost chunk is unrepairable, so the
   // stream dies as a typed failure and the fabric still idles (a total
   // blackout would beacon forever).
-  config.cluster.flow.chunk_size = 256;
-  config.cluster.flow.retransmit_buffer_chunks = 1;
-  config.cluster.flow.max_nacks_per_gap = 3;
-  // This test *wants* the typed failure: recovery would re-execute the
-  // lost task and rescue the job.
-  config.recovery.enabled = false;
+  config.flow.chunk_size = 256;
+  config.flow.retransmit_buffer_chunks = 1;
+  config.flow.max_nacks_per_gap = 3;
   bigdata::DistributedMapReduce driver(fabric, config);
   driver.enable_cluster_obs();
   Status setup = driver.setup(service);
@@ -1576,9 +1567,14 @@ std::string run_postmortem_job(std::size_t threads) {
   }
   common::ThreadPool pool(threads);
   driver.set_pool(threads <= 1 ? nullptr : &pool);
+  // This test *wants* the typed failure: recovery would re-execute the
+  // lost task and rescue the job, so every worker dies early in the run.
+  for (std::size_t w = 0; w < config.num_workers; ++w) {
+    driver.schedule_worker_kill(w, 100'000 * (w + 1));
+  }
 
   auto result = driver.run(encrypted, word_count_map(), sum_reduce());
-  EXPECT_FALSE(result.ok());  // first map-task chunk was unrepairable
+  EXPECT_FALSE(result.ok());  // all workers dead; job cannot complete
   EXPECT_TRUE(fabric.idle());
   return driver.last_postmortem();
 }
@@ -1870,6 +1866,43 @@ TEST(DistributedRecovery, AllWorkersDeadIsTypedUnavailable) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, ErrorCode::kUnavailable);
   EXPECT_TRUE(fabric.idle());
+}
+
+// The host can inject a frame on the session channel. It fails the
+// coordinator's session toward that worker, which has done its only job
+// (releasing the key); the flow still decides liveness, so the worker is
+// not declared dead and the job completes on every worker.
+TEST(DistributedRecovery, SpoofedSessionFrameIsNotAWorkerDeath) {
+  SimClock clock;
+  net::Fabric fabric(clock);
+  sgx::AttestationService service;
+  bigdata::DistributedMapReduceConfig config;
+  config.num_workers = 3;
+  config.num_reducers = 3;
+  bigdata::DistributedMapReduce driver(fabric, config);
+  driver.enable_cluster_obs();
+  ASSERT_TRUE(driver.setup(service).ok());
+
+  ASSERT_TRUE(fabric.send(driver.worker_node(0), driver.coordinator_node(), 1, {1}).ok());
+  fabric.run_until_idle();
+
+  std::vector<std::vector<Bytes>> encrypted;
+  for (const auto& partition : word_partitions()) {
+    encrypted.push_back(driver.encrypt_partition(partition));
+  }
+  auto result = driver.run(encrypted, word_count_map(), sum_reduce());
+  ASSERT_TRUE(result.ok()) << result.error().message;
+  EXPECT_EQ(result->output, expected_word_counts());
+  EXPECT_TRUE(driver.worker_alive(0));
+  EXPECT_EQ(driver.coordinator_obs()
+                ->registry.counter("dist_mapreduce_worker_deaths_total")
+                .value(),
+            0u);
+  std::size_t session_failures = 0;
+  for (const obs::FlightEvent& event : driver.coordinator_obs()->flight.events()) {
+    if (event.category == "session_failure") ++session_failures;
+  }
+  EXPECT_EQ(session_failures, 1u);
 }
 
 }  // namespace
