@@ -527,27 +527,27 @@ const char* const kPinnedDashboard =
 TEST(TelemetryCluster, FaultFreeRunIsPinned) {
   const TelemetryRun run = run_telemetry_job(0xBEEF, 1, /*with_faults=*/false);
   ASSERT_TRUE(run.ok);
-  EXPECT_EQ(digest(run.timeline), "38824:79a1bd34fd97b1b5");
+  EXPECT_EQ(digest(run.timeline), "38236:de5cffbc93dd0cf2");
   EXPECT_EQ(run.dashboard, kPinnedDashboard);
   EXPECT_EQ(describe(run.alerts),
             "0@33410888 straggler_drift worker-1 dist_worker_tasks_done_total 0/0;");
   EXPECT_EQ(describe(run.fabric),
             "sent=362 delivered=362 dropped=0 frames=362 frames_dropped=0 dup=0 "
-            "reordered=0 bytes=64691 timers=288");
-  EXPECT_EQ(run.coordinator_flow, "3 153 594 48739 3 0 0 0 0 0");
+            "reordered=0 bytes=64565 timers=288");
+  EXPECT_EQ(run.coordinator_flow, "3 153 594 48613 3 0 0 0 0 0");
 }
 
 TEST(TelemetryCluster, ChaosRunIsPinned) {
   const TelemetryRun run = run_telemetry_job(0xBEEF, 8, /*with_faults=*/true);
   ASSERT_TRUE(run.ok);
-  EXPECT_EQ(digest(run.timeline), "42102:b76e02a8c950d99c");
+  EXPECT_EQ(digest(run.timeline), "41511:cb25826233de95c4");
   EXPECT_EQ(run.dashboard, kPinnedDashboard);
   EXPECT_EQ(describe(run.alerts),
-            "0@36010867 straggler_drift worker-1 dist_worker_tasks_done_total 0/0;");
+            "0@36010868 straggler_drift worker-1 dist_worker_tasks_done_total 0/0;");
   EXPECT_EQ(describe(run.fabric),
             "sent=394 delivered=374 dropped=20 frames=394 frames_dropped=20 dup=0 "
-            "reordered=8 bytes=71720 timers=295");
-  EXPECT_EQ(run.coordinator_flow, "3 153 594 51547 3 10 1 4 0 0");
+            "reordered=8 bytes=71594 timers=295");
+  EXPECT_EQ(run.coordinator_flow, "3 153 594 51421 3 10 1 4 0 0");
 }
 
 // -------------------------------------------------- streams pipeline tap
