@@ -23,12 +23,13 @@
 //                     owner's node*, reduce on block-complete, and the
 //                     coordinator merges worker results in index order.
 //
-// Failure tolerance: work is identified by *logical* ids — map task t and reduce bundle b (the reducers
-// {r : r % W == b}) — decoupled from the worker executing them. Shuffle
-// and result nonces/AADs are pure functions of (epoch, task/bundle), so
-// a task re-executed on any surviving node reproduces byte-identical
-// sealed blocks, and the coordinator dedups kMapDone/kResult by id
-// (first result in event order wins). The coordinator's flow is the one
+// Failure tolerance: work is identified by *logical* ids — map task t
+// and reduce bundle b (the reducers {r : r % W == b}) — decoupled from
+// the worker executing them. Shuffle and result nonces/AADs are pure
+// functions of (epoch, task/bundle), so a task re-executed on any
+// surviving node reproduces byte-identical sealed blocks, and the
+// coordinator dedups kMapDone/kResult by id (first result in event order
+// wins). The coordinator's flow is the one
 // death signal: a worker is dead when its FlowNode sent kDead (stream
 // abandon) or went silent past the beacon death threshold. The attested
 // sessions only release the job key; a failed session is a flight event,

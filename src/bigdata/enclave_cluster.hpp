@@ -149,7 +149,10 @@ class EnclaveCluster {
   obs::FlightRecorder* flight(std::size_t i) const;
   obs::Tracer* tracer(std::size_t i) const;
 
-  /// First failure across node flows and sessions, in node order.
+  /// First failure across node flows, in node order. Sessions are not
+  /// asked: attest() returns their handshake failures, and after it they
+  /// carry nothing, so a later session failure (an injected frame) is a
+  /// flight event, not a failure of the data plane.
   Status health() const;
   /// Every node's bundle merged (per-node mode, after boot()).
   Result<obs::ClusterSnapshot> snapshot() const;

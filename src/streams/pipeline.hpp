@@ -231,7 +231,7 @@ class Pipeline {
 
   PipelineStats stats() const;
 
-  /// First failure across stage flows and sessions.
+  /// First failure across stage flows.
   Status health() const;
 
   /// Merged per-stage observability (per-node mode only).

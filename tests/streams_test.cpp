@@ -206,6 +206,31 @@ TEST(StreamPipeline, DeliversEveryRecordInOrderThroughEnclaveStages) {
   EXPECT_GT(stats.wall_ns, 0u);
 }
 
+// The host can inject a frame on a stage's session channel after setup.
+// The session it fails has released its key and carries nothing more, so
+// the run still delivers every record and reports success.
+TEST(StreamPipeline, SpoofedSessionFrameLeavesTheRunHealthy) {
+  Rig rig;
+  std::vector<Record> input;
+  for (int i = 0; i < 20; ++i) {
+    input.push_back(make_record("k", static_cast<std::uint64_t>(i), 1.0));
+  }
+  std::size_t delivered = 0;
+  auto stages = PipelineBuilder()
+                    .source("gen", vector_source(input))
+                    .sink("collect", [&](const Record&, std::uint64_t) { ++delivered; })
+                    .build();
+  ASSERT_TRUE(stages.ok());
+  Pipeline pipeline(rig.fabric, std::move(*stages));
+  ASSERT_TRUE(pipeline.setup(rig.service).ok());
+
+  ASSERT_TRUE(rig.fabric.send(pipeline.stage_node(1), pipeline.stage_node(0), 1, {1}).ok());
+  const Status run = pipeline.run();
+  EXPECT_TRUE(run.ok()) << run.error().message;
+  EXPECT_EQ(delivered, input.size());
+  EXPECT_TRUE(pipeline.health().ok());
+}
+
 TEST(StreamPipeline, RunRequiresSetupAndIsSingleShot) {
   Rig rig;
   auto stages = PipelineBuilder()
