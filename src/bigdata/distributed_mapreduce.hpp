@@ -71,9 +71,9 @@ struct DistributedMapReduceConfig {
   std::size_t num_workers = 4;
   std::size_t num_reducers = 4;
   bool enable_combiner = false;
-  /// Every node's flow (mesh links take net::LinkConfig's defaults). The
-  /// driver replaces beacon_death_threshold with its own constant
-  /// (distributed_mapreduce.cpp).
+  /// Every node's flow (mesh links take net::LinkConfig's defaults).
+  /// DistributedMapReduce replaces beacon_death_threshold with its own
+  /// constant (distributed_mapreduce.cpp).
   FlowConfig flow;
   /// Simulated worker compute charged into *fabric* time before a
   /// worker's shuffle (map) or result (reduce) leaves its node, scaled
