@@ -19,7 +19,9 @@
 # pure stages, shared registry — StreamsHammer.* in test_streams), and
 # the telemetry plane's concurrent sampling surface (pool threads
 # bumping a sharded registry while the sampler snapshots and the
-# monitor ingests — TelemetryHammer.* in test_telemetry) under TSan.
+# monitor ingests — TelemetryHammer.* in test_telemetry), and the
+# Ed25519 base-point tables built on first use from several pool threads
+# (run alone, so that use is the process's first) under TSan.
 # Part of the tier-1 flow for changes touching the parallel execution
 # layer, the fault/recovery plane, the metrics plane, or src/net/.
 set -euo pipefail
@@ -32,7 +34,7 @@ cmake -B "${build_dir}" -S "${repo_root}" -DSECURECLOUD_SANITIZE=thread \
 cmake --build "${build_dir}" -j "$(nproc)" \
       --target test_thread_pool test_common test_scone test_lockfree \
       test_fault_injection test_obs test_net test_fabric_overlay test_scbr \
-      test_streams test_telemetry
+      test_streams test_telemetry test_crypto
 
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 "${build_dir}/tests/test_thread_pool"
@@ -47,4 +49,5 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 "${build_dir}/tests/test_scbr" --gtest_filter='*Batch*'
 "${build_dir}/tests/test_streams" --gtest_filter='StreamsHammer.*:*Chaos*'
 "${build_dir}/tests/test_telemetry" --gtest_filter='TelemetryHammer.*:*Chaos*'
+"${build_dir}/tests/test_crypto" --gtest_filter='CurveOracle.FixedBaseTableFirstUseFromPoolThreads'
 echo "TSan clean."

@@ -6,8 +6,12 @@
 //    confidentiality, enabling image customization per the paper §V-A),
 //  - the SCBR key service signs authorization grants.
 //
-// Port of the public-domain TweetNaCl crypto_sign (detached form),
-// verified against RFC 8032 test vectors.
+// RFC 8032 Ed25519 (detached form) on the radix-2^51 field of
+// field25519.hpp. Key generation and signing multiply the base point
+// through a precomputed table with constant-time lookups; verification
+// runs a variable-time double-scalar multiply, its inputs being public.
+// Checked against RFC 8032 vectors and against the earlier TweetNaCl port,
+// kept under tests/ as the oracle.
 #pragma once
 
 #include <array>
@@ -36,8 +40,10 @@ Ed25519KeyPair ed25519_keypair(const Ed25519Seed& seed);
 /// Detached signature over `message`.
 Ed25519Signature ed25519_sign(const Ed25519KeyPair& kp, ByteView message);
 
-/// Verifies a detached signature. Rejects malformed points and
-/// non-canonical encodings the way TweetNaCl does.
+/// Verifies a detached signature, accepting exactly what TweetNaCl's
+/// crypto_sign_open accepts: A's y is taken mod p, R must equal the
+/// canonical encoding of [S]B - [k]A, and S is used with all 256 bits
+/// (S >= L is not rejected).
 bool ed25519_verify(const Ed25519PublicKey& pk, ByteView message,
                     const Ed25519Signature& sig);
 

@@ -1,5 +1,7 @@
 #include "crypto/x25519.hpp"
 
+#include <cstring>
+
 #include "crypto/field25519.hpp"
 
 namespace securecloud::crypto {
@@ -7,52 +9,43 @@ namespace securecloud::crypto {
 namespace f = f25519;
 
 X25519Key x25519(const X25519Key& scalar, const X25519Key& point) {
-  std::uint8_t z[32];
-  std::memcpy(z, scalar.data(), 32);
+  std::uint8_t k[32] = {};
+  std::memcpy(k, scalar.data(), 32);
   // RFC 7748 clamping.
-  z[31] = static_cast<std::uint8_t>((z[31] & 127) | 64);
-  z[0] &= 248;
+  k[31] = static_cast<std::uint8_t>((k[31] & 127) | 64);
+  k[0] &= 248;
 
-  f::Gf x;
-  f::unpack(x, point.data());
+  // RFC 7748 section 5 ladder: (x2:z2) = [n]u, (x3:z3) = [n+1]u. The
+  // same field operations run for every bit; the bit only drives cswap.
+  const f::Fe x1 = f::from_bytes(point.data());
+  f::Fe x2 = f::kOne, z2 = f::kZero, x3 = x1, z3 = f::kOne;
+  f::u64 swap = 0;
+  for (int t = 254; t >= 0; --t) {
+    const f::u64 k_t = (k[t >> 3] >> (t & 7)) & 1;
+    swap ^= k_t;
+    f::cswap(x2, x3, swap);
+    f::cswap(z2, z3, swap);
+    swap = k_t;
 
-  f::Gf a{}, b = x, c{}, d{};
-  a[0] = 1;
-  d[0] = 1;
-
-  // Montgomery ladder: a constant sequence of field ops per scalar bit.
-  for (int i = 254; i >= 0; --i) {
-    const int r = (z[i >> 3] >> (i & 7)) & 1;
-    f::cswap(a, b, r);
-    f::cswap(c, d, r);
-    f::Gf e, ff;
-    f::add(e, a, c);
-    f::sub(a, a, c);
-    f::add(c, b, d);
-    f::sub(b, b, d);
-    f::square(d, e);
-    f::square(ff, a);
-    f::mul(a, c, a);
-    f::mul(c, b, e);
-    f::add(e, a, c);
-    f::sub(a, a, c);
-    f::square(b, a);
-    f::sub(c, d, ff);
-    f::mul(a, c, f::k121665);
-    f::add(a, a, d);
-    f::mul(c, c, a);
-    f::mul(a, d, ff);
-    f::mul(d, b, x);
-    f::square(b, e);
-    f::cswap(a, b, r);
-    f::cswap(c, d, r);
+    const f::Fe a = f::add(x2, z2);
+    const f::Fe aa = f::square(a);
+    const f::Fe b = f::sub(x2, z2);
+    const f::Fe bb = f::square(b);
+    const f::Fe e = f::sub(aa, bb);
+    const f::Fe c = f::add(x3, z3);
+    const f::Fe d = f::sub(x3, z3);
+    const f::Fe da = f::mul(d, a);
+    const f::Fe cb = f::mul(c, b);
+    x3 = f::square(f::add(da, cb));
+    z3 = f::mul(x1, f::square(f::sub(da, cb)));
+    x2 = f::mul(aa, bb);
+    z2 = f::mul(e, f::add(aa, f::mul_small(e, 121665)));
   }
+  f::cswap(x2, x3, swap);
+  f::cswap(z2, z3, swap);
 
-  f::invert(c, c);
-  f::mul(a, a, c);
-
-  X25519Key out;
-  f::pack(out.data(), a);
+  X25519Key out{};
+  f::to_bytes(out.data(), f::mul(x2, f::invert(z2)));
   return out;
 }
 

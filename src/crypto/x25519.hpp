@@ -2,9 +2,9 @@
 //
 // Key agreement for: SCF delivery channels (enclave <-> configuration
 // service), SCBR key-exchange, and attested secure channels. The
-// implementation is a careful port of the public-domain TweetNaCl
-// curve25519 routines (Bernstein et al.), using 16 x 16-bit limbs in
-// 64-bit accumulators, with constant-time conditional swaps.
+// implementation is RFC 7748's Montgomery ladder on the radix-2^51 field
+// of field25519.hpp, with constant-time conditional swaps. The earlier
+// TweetNaCl port is kept under tests/ as the oracle it is checked against.
 #pragma once
 
 #include <array>

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/ctr.hpp"
 #include "crypto/ed25519.hpp"
@@ -16,6 +18,7 @@
 #include "crypto/sha256.hpp"
 #include "crypto/sha512.hpp"
 #include "crypto/x25519.hpp"
+#include "tweetnacl25519.hpp"
 
 namespace securecloud::crypto {
 namespace {
@@ -589,6 +592,250 @@ TEST(Ed25519, SignVerifyPropertyOverMessageSizes) {
     Bytes msg(len);
     for (auto& b : msg) b = static_cast<std::uint8_t>(rng.next());
     EXPECT_TRUE(ed25519_verify(kp.public_key, msg, ed25519_sign(kp, msg)));
+  }
+}
+
+// ------------------------------------ Curve25519 against the TweetNaCl oracle
+//
+// The library's radix-2^51 X25519 and Ed25519 must produce the bytes the
+// TweetNaCl port produces and accept exactly the signatures it accepts.
+
+constexpr const char* kL =
+    "edd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010";
+
+// The eight points of order dividing 8, canonically encoded.
+constexpr const char* kSmallOrderPoints[] = {
+    "0100000000000000000000000000000000000000000000000000000000000000",  // identity
+    "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+    "0000000000000000000000000000000000000000000000000000000000000080",
+    "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+    "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",  // (0, -1)
+    "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa",
+};
+
+// Non-canonical point encodings: y >= p, and x = 0 with the sign bit set.
+constexpr const char* kNonCanonicalPoints[] = {
+    "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",  // y = p
+    "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",  // y = p + 1
+    "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",  // ... sign set
+    "efffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",  // y = p + 2
+    "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",  // y = 2^255 - 1
+    "0100000000000000000000000000000000000000000000000000000000000080",  // (0, 1), sign set
+    "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",  // (0, -1), sign set
+};
+
+// X25519 u-coordinates of small order, and u >= p.
+constexpr const char* kEdgeU[] = {
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0100000000000000000000000000000000000000000000000000000000000000",
+    "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",
+    "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157",
+    "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",  // p - 1
+    "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",  // p
+    "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",  // p + 1
+    "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",  // 2^255 - 1
+};
+
+// Little-endian a + b over 32 bytes; false when the sum needs 257 bits.
+bool add_256(std::array<std::uint8_t, 32>& a, const std::array<std::uint8_t, 32>& b) {
+  unsigned carry = 0;
+  for (std::size_t i = 0; i < 32; ++i) {
+    carry += static_cast<unsigned>(a[i]) + b[i];
+    a[i] = static_cast<std::uint8_t>(carry);
+    carry >>= 8;
+  }
+  return carry == 0;
+}
+
+Ed25519Signature make_sig(const std::array<std::uint8_t, 32>& r,
+                          const std::array<std::uint8_t, 32>& s) {
+  Ed25519Signature sig{};
+  std::copy(r.begin(), r.end(), sig.begin());
+  std::copy(s.begin(), s.end(), sig.begin() + 32);
+  return sig;
+}
+
+// A public key together with its secret scalar a (A = [a]B): (A, a) is a
+// signature that verifies exactly when [k]A' = [a]B - A for the key A'.
+struct KnownScalarKey {
+  Ed25519PublicKey a_point;
+  std::array<std::uint8_t, 32> a_scalar;
+};
+
+KnownScalarKey known_scalar_key(const Ed25519Seed& seed) {
+  const Sha512Digest d = Sha512::hash(seed);
+  KnownScalarKey k;
+  std::copy(d.begin(), d.begin() + 32, k.a_scalar.begin());
+  k.a_scalar[0] &= 248;
+  k.a_scalar[31] &= 127;
+  k.a_scalar[31] |= 64;
+  k.a_point = ed25519_keypair(seed).public_key;
+  return k;
+}
+
+void expect_verify_matches_oracle(const Ed25519PublicKey& pk, ByteView msg,
+                                  const Ed25519Signature& sig, const std::string& what) {
+  EXPECT_EQ(ed25519_verify(pk, msg, sig), oracle::ed25519_verify(pk, msg, sig))
+      << what << " pk=" << hex(pk) << " sig=" << hex(sig);
+}
+
+TEST(CurveOracle, X25519MatchesOracleOnSeededInputs) {
+  DeterministicEntropy entropy(24);
+  const X25519Key base = from_hex<32>(
+      "0900000000000000000000000000000000000000000000000000000000000000");
+  for (int i = 0; i < 48; ++i) {
+    const auto scalar = entropy.array<32>();
+    const auto point = entropy.array<32>();  // bit 255 set half the time
+    EXPECT_EQ(x25519(scalar, point), oracle::x25519(scalar, point)) << i;
+    EXPECT_EQ(x25519_base(scalar), oracle::x25519(scalar, base)) << i;
+  }
+}
+
+TEST(CurveOracle, X25519MatchesOracleOnSmallOrderAndNonCanonicalU) {
+  DeterministicEntropy entropy(25);
+  for (const char* u_hex : kEdgeU) {
+    for (const std::uint8_t top : {0x00, 0x80}) {
+      auto u = from_hex<32>(u_hex);
+      u[31] |= top;  // bit 255 is ignored
+      for (int i = 0; i < 4; ++i) {
+        const auto scalar = entropy.array<32>();
+        EXPECT_EQ(x25519(scalar, u), oracle::x25519(scalar, u)) << u_hex;
+      }
+    }
+  }
+}
+
+TEST(CurveOracle, Ed25519KeysAndSignaturesMatchOracle) {
+  DeterministicEntropy entropy(26);
+  Rng rng(26);
+  for (int i = 0; i < 32; ++i) {
+    const auto kp = ed25519_keypair(entropy.array<32>());
+    ASSERT_EQ(kp.public_key, oracle::ed25519_public_key(kp.seed)) << i;
+    Bytes msg(rng.uniform(300));
+    for (auto& b : msg) b = static_cast<std::uint8_t>(rng.next());
+    const auto sig = ed25519_sign(kp, msg);
+    EXPECT_EQ(sig, oracle::ed25519_sign(kp, msg)) << i;
+    EXPECT_TRUE(ed25519_verify(kp.public_key, msg, sig)) << i;
+  }
+}
+
+TEST(CurveOracle, VerifyMatchesOracleOnSmallOrderAndNonCanonicalPoints) {
+  std::vector<std::string> edge(std::begin(kSmallOrderPoints), std::end(kSmallOrderPoints));
+  edge.insert(edge.end(), std::begin(kNonCanonicalPoints), std::end(kNonCanonicalPoints));
+  DeterministicEntropy entropy(27);
+  const KnownScalarKey known = known_scalar_key(entropy.array<32>());
+  const auto kp = ed25519_keypair(entropy.array<32>());
+  const std::array<std::uint8_t, 32> zero{};
+  int accepted = 0;
+  for (const std::string& point_hex : edge) {
+    const auto point = from_hex<32>(point_hex);
+    for (int m = 0; m < 4; ++m) {
+      const Bytes msg = to_bytes("edge message " + std::to_string(m));
+      // As A: R = [a]B, S = a verifies exactly when [k]A is the identity.
+      const auto as_a = make_sig(known.a_point, known.a_scalar);
+      expect_verify_matches_oracle(point, msg, as_a, "A=" + point_hex);
+      accepted += ed25519_verify(point, msg, as_a) ? 1 : 0;
+      // As A and as R, with S = 0: R' = [k](-A).
+      for (const char* r_hex : kSmallOrderPoints) {
+        expect_verify_matches_oracle(point, msg, make_sig(from_hex<32>(r_hex), zero),
+                                     std::string("R=") + r_hex + " A=" + point_hex);
+      }
+      // As R of an otherwise valid signature.
+      auto as_r = ed25519_sign(kp, msg);
+      std::copy(point.begin(), point.end(), as_r.begin());
+      expect_verify_matches_oracle(kp.public_key, msg, as_r, "R=" + point_hex);
+    }
+  }
+  // A = identity, in each of its four encodings, accepts every (A, a)
+  // signature.
+  EXPECT_GE(accepted, 4 * 4);
+}
+
+TEST(CurveOracle, VerifyUsesAllOf256BitSAsOracleDoes) {
+  DeterministicEntropy entropy(28);
+  const auto l = from_hex<32>(kL);
+  for (int i = 0; i < 8; ++i) {
+    const auto kp = ed25519_keypair(entropy.array<32>());
+    const Bytes msg = to_bytes("S >= L " + std::to_string(i));
+    const auto sig = ed25519_sign(kp, msg);
+    std::array<std::uint8_t, 32> s{};
+    std::copy(sig.begin() + 32, sig.end(), s.begin());
+    std::array<std::uint8_t, 32> r{};
+    std::copy(sig.begin(), sig.begin() + 32, r.begin());
+    // S + mL names the same [S]B, so both accept it; m = 8 and up set bit 255.
+    std::array<std::uint8_t, 32> s_plus = s;
+    for (int m = 1; m <= 15; ++m) {
+      if (!add_256(s_plus, l)) break;
+      const auto big = make_sig(r, s_plus);
+      EXPECT_TRUE(oracle::ed25519_verify(kp.public_key, msg, big)) << m;
+      EXPECT_TRUE(ed25519_verify(kp.public_key, msg, big)) << m;
+    }
+    // Bit 255 flipped on its own changes the value: both reject.
+    std::array<std::uint8_t, 32> s_top = s;
+    s_top[31] ^= 0x80;
+    expect_verify_matches_oracle(kp.public_key, msg, make_sig(r, s_top), "S|2^255");
+    std::array<std::uint8_t, 32> s_max;
+    s_max.fill(0xff);
+    expect_verify_matches_oracle(kp.public_key, msg, make_sig(r, s_max), "S=2^256-1");
+  }
+}
+
+TEST(CurveOracle, VerifyMatchesOracleOnSingleBitFlips) {
+  DeterministicEntropy entropy(29);
+  Rng rng(29);
+  constexpr int kFlips = 256;
+  int accepted = 0;
+  for (int i = 0; i < kFlips; ++i) {
+    const auto kp = ed25519_keypair(entropy.array<32>());
+    Bytes msg(1 + rng.uniform(64));
+    for (auto& b : msg) b = static_cast<std::uint8_t>(rng.next());
+    auto pk = kp.public_key;
+    auto sig = ed25519_sign(kp, msg);
+    // One bit anywhere in pk || msg || sig.
+    const std::size_t bit = rng.uniform(8 * (pk.size() + msg.size() + sig.size()));
+    const auto mask = static_cast<std::uint8_t>(1u << (bit % 8));
+    std::size_t byte = bit / 8;
+    if (byte < pk.size()) {
+      pk[byte] ^= mask;
+    } else if ((byte -= pk.size()) < msg.size()) {
+      msg[byte] ^= mask;
+    } else {
+      sig[byte - msg.size()] ^= mask;
+    }
+    const bool got = ed25519_verify(pk, msg, sig);
+    EXPECT_EQ(got, oracle::ed25519_verify(pk, msg, sig)) << "flip " << i << " bit " << bit;
+    accepted += got ? 1 : 0;
+  }
+  // No single-bit flip keeps a signature valid (S changes by 2^j, not a
+  // multiple of L; any other flip changes k or A).
+  EXPECT_EQ(accepted, 0);
+}
+
+TEST(CurveOracle, FixedBaseTableFirstUseFromPoolThreads) {
+  // The base-point tables are built on first use; here that first use
+  // comes from several pool threads at once (publish_batch verifies on
+  // pool threads). scripts/tsan_check.sh runs this test alone.
+  constexpr std::size_t kTasks = 16;
+  std::vector<Ed25519Seed> seeds(kTasks);
+  DeterministicEntropy entropy(30);
+  for (auto& seed : seeds) seed = entropy.array<32>();
+  std::vector<Ed25519KeyPair> keys(kTasks);
+  std::vector<Ed25519Signature> sigs(kTasks);
+  std::vector<int> verified(kTasks, 0);
+  {
+    common::ThreadPool pool(4);
+    common::run_indexed(&pool, kTasks, [&](std::size_t i) {
+      keys[i] = ed25519_keypair(seeds[i]);
+      sigs[i] = ed25519_sign(keys[i], to_bytes("pool"));
+      verified[i] = ed25519_verify(keys[i].public_key, to_bytes("pool"), sigs[i]) ? 1 : 0;
+    });
+  }
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(keys[i].public_key, oracle::ed25519_public_key(seeds[i])) << i;
+    EXPECT_EQ(sigs[i], oracle::ed25519_sign(keys[i], to_bytes("pool"))) << i;
+    EXPECT_EQ(verified[i], 1) << i;
   }
 }
 
