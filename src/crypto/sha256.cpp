@@ -96,16 +96,16 @@ void Sha256::update(ByteView data) {
 
 Sha256Digest Sha256::finish() {
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(ByteView(&pad_byte, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) {
-    update(ByteView(&zero, 1));
+  // 0x80, zeros to byte 56 of a block, then the 64-bit length: one block,
+  // or two when fewer than 9 bytes are left after the message.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
   }
-  std::uint8_t len_bytes[8];
-  store_be64(len_bytes, bit_len);
-  // Bypass update()'s length accounting for the final length block.
-  std::memcpy(buffer_.data() + 56, len_bytes, 8);
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  store_be64(MutableByteView(buffer_.data() + 56, 8), bit_len);
   process_block(buffer_.data());
   buffer_len_ = 0;
 

@@ -113,14 +113,16 @@ void Sha512::update(ByteView data) {
 
 Sha512Digest Sha512::finish() {
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(ByteView(&pad_byte, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 112) {
-    update(ByteView(&zero, 1));
+  // 0x80, zeros to byte 112 of a block, then the 128-bit length: one
+  // block, or two when fewer than 17 bytes are left after the message.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 112) {
+    std::memset(buffer_.data() + buffer_len_, 0, 128 - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
   }
-  // 128-bit length field; high 64 bits are zero for our message sizes.
-  std::memset(buffer_.data() + 112, 0, 8);
+  // High 64 bits of the length are zero for our message sizes.
+  std::memset(buffer_.data() + buffer_len_, 0, 120 - buffer_len_);
   store_be64(MutableByteView(buffer_.data() + 120, 8), bit_len);
   process_block(buffer_.data());
   buffer_len_ = 0;

@@ -15,6 +15,7 @@
 #include "crypto/sha256.hpp"
 #include "crypto/sha512.hpp"
 #include "crypto/x25519.hpp"
+#include "sha2_length_vectors.hpp"
 
 namespace securecloud::crypto {
 namespace {
@@ -38,6 +39,37 @@ TEST(Sha2Extra, Sha256ExactBlockBoundaries) {
     split.update(ByteView(msg.data() + len / 2, len - len / 2));
     EXPECT_EQ(split.finish(), Sha256::hash(msg)) << "len=" << len;
   }
+}
+
+// m_n of sha2_length_vectors.hpp.
+Bytes length_pattern(std::size_t n) {
+  Bytes m(n);
+  for (std::size_t i = 0; i < n; ++i) m[i] = static_cast<std::uint8_t>(7 * i + 1);
+  return m;
+}
+
+// Every length 0..130 hashed in one shot and split in two at every
+// offset, against digests from Python's hashlib.
+template <typename Hash>
+void expect_every_length_and_split(const char* const* expected) {
+  for (std::size_t n = 0; n <= testvec::kShaMaxLength; ++n) {
+    const Bytes m = length_pattern(n);
+    EXPECT_EQ(hex(Hash::hash(m)), expected[n]) << "len=" << n;
+    for (std::size_t cut = 0; cut <= n; ++cut) {
+      Hash h;
+      h.update(ByteView(m.data(), cut));
+      h.update(ByteView(m.data() + cut, n - cut));
+      EXPECT_EQ(hex(h.finish()), expected[n]) << "len=" << n << " cut=" << cut;
+    }
+  }
+}
+
+TEST(Sha2Extra, Sha256EveryLengthAndSplitMatchesHashlib) {
+  expect_every_length_and_split<Sha256>(testvec::kSha256OfLength);
+}
+
+TEST(Sha2Extra, Sha512EveryLengthAndSplitMatchesHashlib) {
+  expect_every_length_and_split<Sha512>(testvec::kSha512OfLength);
 }
 
 TEST(Sha2Extra, Sha512TwoBlockVector) {
