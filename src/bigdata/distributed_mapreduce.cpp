@@ -429,9 +429,10 @@ void DistributedMapReduce::worker_handle_map_task(Worker& worker, ByteView body,
   }
 
   std::vector<std::vector<KeyValue>> per_reducer(R);
+  TaskPartitioner partition(R);
   for (auto& pairs : mapped) {
     for (auto& kv : pairs) {
-      per_reducer[reducer_of(kv.key, R)].push_back(std::move(kv));
+      per_reducer[partition(kv.key)].push_back(std::move(kv));
     }
   }
 

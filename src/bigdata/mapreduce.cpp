@@ -145,6 +145,7 @@ Result<JobResult> SecureMapReduce::run(
     ++tally.enclave_transitions;
 
     std::vector<std::vector<KeyValue>> per_reducer(config.num_reducers);
+    TaskPartitioner partition(config.num_reducers);
     for (const auto& sealed_record : encrypted_partitions[p]) {
       auto record = gcm.open_combined(to_bytes("record"), sealed_record);
       if (!record.ok()) {
@@ -153,8 +154,7 @@ Result<JobResult> SecureMapReduce::run(
       }
       ++tally.input_records;
       for (auto& kv : map_fn(*record)) {
-        const std::size_t r = reducer_of(kv.key, config.num_reducers);
-        per_reducer[r].push_back(std::move(kv));
+        per_reducer[partition(kv.key)].push_back(std::move(kv));
       }
     }
 

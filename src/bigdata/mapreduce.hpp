@@ -18,6 +18,8 @@
 
 #include <functional>
 #include <map>
+#include <string>
+#include <unordered_map>
 
 #include "common/result.hpp"
 #include "common/thread_pool.hpp"
@@ -47,6 +49,23 @@ Result<std::vector<KeyValue>> deserialize_pairs(ByteView wire);
 
 /// Hash partitioner: the reducer owning `key` (SHA-256 prefix mod).
 std::size_t reducer_of(const std::string& key, std::size_t num_reducers);
+
+/// reducer_of memoized for one map task: one SHA-256 per distinct key
+/// rather than per emitted pair. Not thread-safe; one per task.
+class TaskPartitioner {
+ public:
+  explicit TaskPartitioner(std::size_t num_reducers) : num_reducers_(num_reducers) {}
+
+  std::size_t operator()(const std::string& key) {
+    auto [it, fresh] = reducer_by_key_.try_emplace(key, 0);
+    if (fresh) it->second = reducer_of(key, num_reducers_);
+    return it->second;
+  }
+
+ private:
+  std::size_t num_reducers_;
+  std::unordered_map<std::string, std::size_t> reducer_by_key_;
+};
 
 /// The canonical signed map/reduce worker image. All workers share one
 /// MRENCLAVE, so the job key may be released to any attested worker.
