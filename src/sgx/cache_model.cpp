@@ -10,10 +10,10 @@ CacheModel::CacheModel(std::size_t size_bytes, std::size_t line_bytes, std::size
   assert(size_bytes % (line_bytes * ways) == 0);
   num_sets_ = size_bytes / (line_bytes * ways);
   assert(num_sets_ > 0);
-  ways_storage_.resize(num_sets_ * ways_);
 }
 
 bool CacheModel::access(std::uint64_t addr) {
+  if (ways_storage_.empty()) ways_storage_.resize(num_sets_ * ways_);
   const std::uint64_t line = addr / line_bytes_;
   const std::size_t set = static_cast<std::size_t>(line % num_sets_);
   Way* base = &ways_storage_[set * ways_];
@@ -42,6 +42,7 @@ bool CacheModel::access(std::uint64_t addr) {
 }
 
 void CacheModel::invalidate_range(std::uint64_t base, std::uint64_t len) {
+  if (ways_storage_.empty()) return;  // nothing was ever resident
   const std::uint64_t first_line = base / line_bytes_;
   const std::uint64_t last_line = (base + len - 1) / line_bytes_;
   for (std::uint64_t line = first_line; line <= last_line; ++line) {

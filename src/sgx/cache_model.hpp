@@ -42,7 +42,9 @@ class CacheModel {
   std::size_t line_bytes_;
   std::size_t ways_;
   std::size_t num_sets_;
-  std::vector<Way> ways_storage_;  // num_sets_ x ways_
+  // num_sets_ x ways_, allocated by the first access: most platforms
+  // never touch the model, and a full LLC is megabytes of zeroed ways.
+  std::vector<Way> ways_storage_;
   std::uint64_t tick_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

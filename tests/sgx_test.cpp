@@ -61,6 +61,20 @@ TEST(CacheModel, InvalidateRangeDropsLines) {
   EXPECT_TRUE(cache.access(4096));
 }
 
+TEST(CacheModel, InvalidateAndClearBeforeFirstAccess) {
+  // The ways are allocated by the first access; invalidate and clear on a
+  // model never accessed are no-ops that leave it working.
+  CacheModel cache(64 * 16 * 4, 64, 16);
+  cache.invalidate_range(0, 4096);
+  cache.clear();
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 0u);
+  EXPECT_FALSE(cache.access(128));
+  EXPECT_TRUE(cache.access(128));
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
+}
+
 // ------------------------------------------------------------- EpcManager
 
 CostModel small_epc_cost() {
