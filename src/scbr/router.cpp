@@ -1,5 +1,8 @@
 #include "scbr/router.hpp"
 
+#include <algorithm>
+#include <optional>
+
 #include "sgx/platform.hpp"
 
 namespace securecloud::scbr {
@@ -101,14 +104,13 @@ Status ScbrRouter::provision(KeyService& keys) {
   if (!quote.ok()) return quote.error();
   auto provision = keys.provision_router(quote->serialize());
   if (!provision.ok()) return provision.error();
-  // Build every client's immutable crypto context once — key schedules
-  // and AAD strings — and publish the table as one RCU snapshot.
-  ClientTable table;
+  // Build every client's immutable crypto context once: key schedules
+  // and AAD strings.
+  clients_.clear();
   for (const auto& [name, key] : provision->client_keys) {
-    table.emplace(name, std::make_shared<const ClientCrypto>(
-                            name, key, provision->client_verify_keys.at(name)));
+    clients_.emplace(name, std::make_shared<const ClientCrypto>(
+                               name, key, provision->client_verify_keys.at(name)));
   }
-  clients_.store(std::move(table));
   provisioned_ = true;
   return {};
 }
@@ -129,7 +131,6 @@ std::vector<Result<SubscriptionId>> ScbrRouter::subscribe_batch(
     std::optional<Error> error;
     bool auth_failure = false;
   };
-  auto clients = clients_.read();
 
   std::vector<Work> work(batch.size());
   std::vector<Result<SubscriptionId>> results;
@@ -147,8 +148,8 @@ std::vector<Result<SubscriptionId>> ScbrRouter::subscribe_batch(
       results[i] = Error::unavailable("router not provisioned");
       continue;
     }
-    auto it = clients->find(req.client);
-    if (it == clients->end()) {
+    auto it = clients_.find(req.client);
+    if (it == clients_.end()) {
       results[i] = Error::permission_denied("unknown client: " + req.client);
       continue;
     }
@@ -183,7 +184,8 @@ std::vector<Result<SubscriptionId>> ScbrRouter::subscribe_batch(
   });
 
   // --- application (serial, batch order): ids, metrics, engine, table ------
-  std::vector<std::pair<SubscriptionId, std::shared_ptr<const Subscription>>> added;
+  // Ids are dense and ascending, so each new subscription lands in the
+  // slot just past the table's end: the table grows in place.
   for (std::size_t i = 0; i < batch.size(); ++i) {
     Work& w = work[i];
     if (!w.admitted) continue;
@@ -199,35 +201,23 @@ std::vector<Result<SubscriptionId>> ScbrRouter::subscribe_batch(
     ++metrics_.subscriptions;
     if (obs_subscriptions_ != nullptr) obs_subscriptions_->inc();
     engine_->subscribe(id, *w.filter);
-    added.emplace_back(id, std::make_shared<const Subscription>(Subscription{
-                               batch[i].client, *std::move(w.filter),
-                               std::move(w.crypto)}));
+    if (subscriptions_.size() <= id) subscriptions_.resize(id + 1);
+    subscriptions_[id] = std::make_shared<const Subscription>(
+        Subscription{batch[i].client, *std::move(w.filter), std::move(w.crypto)});
     results[i] = id;
-  }
-  if (!added.empty()) {
-    // One RCU publish for the whole batch: readers see either none or all
-    // of it — same final table as per-element updates, one copy instead
-    // of N.
-    subscriptions_.update([&](SubscriptionTable& table) {
-      if (table.size() <= added.back().first) table.resize(added.back().first + 1);
-      for (auto& [id, sub] : added) table[id] = std::move(sub);
-    });
   }
   return results;
 }
 
 Status ScbrRouter::unsubscribe(const std::string& client, SubscriptionId id) {
-  {
-    auto subs = subscriptions_.read();
-    if (id >= subs->size() || (*subs)[id] == nullptr) {
-      return Error::not_found("no such subscription");
-    }
-    if ((*subs)[id]->owner != client) {
-      return Error::permission_denied("subscription belongs to another client");
-    }
+  if (id >= subscriptions_.size() || subscriptions_[id] == nullptr) {
+    return Error::not_found("no such subscription");
+  }
+  if (subscriptions_[id]->owner != client) {
+    return Error::permission_denied("subscription belongs to another client");
   }
   engine_->unsubscribe(id);
-  subscriptions_.update([&](SubscriptionTable& table) { table[id] = nullptr; });
+  subscriptions_[id] = nullptr;
   return {};
 }
 
@@ -256,12 +246,6 @@ std::vector<Result<std::vector<Delivery>>> ScbrRouter::publish_batch(
   obs::Span batch_span(tracer_, "scbr.publish_batch");
   batch_span.set_attribute("batch_size", std::to_string(batch.size()));
 
-  // One read pin for the whole batch: raw ClientCrypto/Subscription
-  // pointers handed to pool workers stay valid until these refs drop
-  // (reclamation is domain-wide, so workers need no guards of their own).
-  auto clients = clients_.read();
-  auto subscriptions = subscriptions_.read();
-
   std::vector<Work> work(batch.size());
   std::vector<Result<std::vector<Delivery>>> results;
   results.reserve(batch.size());
@@ -278,8 +262,8 @@ std::vector<Result<std::vector<Delivery>>> ScbrRouter::publish_batch(
       results[i] = Error::unavailable("router not provisioned");
       continue;
     }
-    auto it = clients->find(req.client);
-    if (it == clients->end()) {
+    auto it = clients_.find(req.client);
+    if (it == clients_.end()) {
       results[i] = Error::permission_denied("unknown client: " + req.client);
       continue;
     }
@@ -365,7 +349,7 @@ std::vector<Result<std::vector<Delivery>>> ScbrRouter::publish_batch(
     if (obs_publications_ != nullptr) obs_publications_->inc();
     for (const SubscriptionId id : w.matched) {
       pending.push_back(
-          {i, id, (*subscriptions)[id].get(), &w.payload, ++delivery_counter_});
+          {i, id, subscriptions_[id].get(), &w.payload, ++delivery_counter_});
     }
   }
 
@@ -415,9 +399,8 @@ Bytes ScbrRouter::seal_state() const {
   // Slot index == subscription id, so walking the table in index order
   // emits (id, owner, filter) in the same ascending-id order the old
   // map-based format produced: sealed blobs stay byte-compatible.
-  auto subs = subscriptions_.read();
   std::uint32_t live = 0;
-  for (const auto& sub : *subs) {
+  for (const auto& sub : subscriptions_) {
     if (sub != nullptr) ++live;
   }
 
@@ -426,8 +409,8 @@ Bytes ScbrRouter::seal_state() const {
   put_u64(plain, next_id_);
   put_u64(plain, delivery_counter_);
   put_u32(plain, live);
-  for (SubscriptionId id = 0; id < subs->size(); ++id) {
-    const auto& sub = (*subs)[id];
+  for (SubscriptionId id = 0; id < subscriptions_.size(); ++id) {
+    const auto& sub = subscriptions_[id];
     if (sub == nullptr) continue;
     put_u64(plain, id);
     put_str(plain, sub->owner);
@@ -440,20 +423,26 @@ Status ScbrRouter::restore_state(ByteView blob) {
   auto plain = enclave_.unseal(blob);
   if (!plain.ok()) return plain.error();
 
+  // Every entry is at least an id, an owner length and a filter length.
+  constexpr std::size_t kMinEntryBytes = 8 + 4 + 4;
   ByteReader reader(*plain);
   std::string magic;
   std::uint32_t count = 0;
   std::uint64_t next_id = 0, delivery_counter = 0;
   if (!reader.get_str(magic) || magic != "SCBRSTATE1" || !reader.get_u64(next_id) ||
-      !reader.get_u64(delivery_counter) || !reader.get_u32(count)) {
+      !reader.get_u64(delivery_counter) || !reader.get_count(count, kMinEntryBytes)) {
     return Error::protocol("malformed router state");
+  }
+  // Ids are issued from 1 and the next subscribe grows the table to
+  // next_id + 1 slots, so next_id must leave that size representable.
+  if (next_id == 0 || next_id >= SubscriptionTable().max_size()) {
+    return Error::protocol("router state next_id out of range");
   }
 
   // Subscriber crypto contexts are resolved against the *current*
   // provisioning (keys are never sealed with the subscription table); an
   // owner absent from the key table cannot receive deliveries, so it is
   // rejected here rather than at publish time.
-  auto clients = clients_.read();
   SubscriptionTable restored;
   for (std::uint32_t i = 0; i < count; ++i) {
     std::uint64_t id = 0;
@@ -462,29 +451,31 @@ Status ScbrRouter::restore_state(ByteView blob) {
     if (!reader.get_u64(id) || !reader.get_str(owner) || !reader.get_blob(filter_wire)) {
       return Error::protocol("truncated router state");
     }
+    // seal_state writes live ids strictly ascending and below next_id; a
+    // checked id sizes the table at most to next_id slots.
+    if (id == 0 || id >= next_id || id < restored.size()) {
+      return Error::protocol("router state id out of order or range");
+    }
     auto filter = Filter::deserialize(filter_wire);
     if (!filter.ok()) return filter.error();
-    auto client = clients->find(owner);
-    if (client == clients->end()) {
+    auto client = clients_.find(owner);
+    if (client == clients_.end()) {
       return Error::permission_denied("restored subscription for unknown client: " +
                                       owner);
     }
-    if (restored.size() <= id) restored.resize(id + 1);
+    restored.resize(id + 1);
     restored[id] = std::make_shared<const Subscription>(
         Subscription{std::move(owner), std::move(filter).value(), client->second});
   }
 
-  // Swap in atomically only after the whole snapshot parsed.
-  {
-    auto current = subscriptions_.read();
-    for (SubscriptionId id = 0; id < current->size(); ++id) {
-      if ((*current)[id] != nullptr) engine_->unsubscribe(id);
-    }
+  // Replace the live state only after the whole snapshot parsed.
+  for (SubscriptionId id = 0; id < subscriptions_.size(); ++id) {
+    if (subscriptions_[id] != nullptr) engine_->unsubscribe(id);
   }
   for (SubscriptionId id = 0; id < restored.size(); ++id) {
     if (restored[id] != nullptr) engine_->subscribe(id, restored[id]->filter);
   }
-  subscriptions_.store(std::move(restored));
+  subscriptions_ = std::move(restored);
   next_id_ = next_id;
   delivery_counter_ = delivery_counter;
   return {};

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "common/lockfree/epoch.hpp"
 #include "common/result.hpp"
 #include "common/thread_pool.hpp"
 #include "crypto/ed25519.hpp"
@@ -99,6 +98,12 @@ struct Delivery {
   Bytes wire;
 };
 
+/// One caller at a time: every call mutates the engine, the anti-replay
+/// counters, the metrics and the tables without synchronization, so the
+/// owner serializes calls (EventBus and every driver call it serially).
+/// Inside a call, the batch paths fan pure work across a pool; those
+/// workers only read the tables, which no one writes until the call
+/// returns.
 class ScbrRouter {
  public:
   /// `enclave` hosts the router; matching runs against its platform's
@@ -121,8 +126,8 @@ class ScbrRouter {
 
   /// Installs a batch of encrypted subscriptions, fanning the AEAD open
   /// and filter parse across `pool`. Admission (key lookup, anti-replay)
-  /// and application (id assignment, metrics, engine insert, RCU table
-  /// publish) run serially in batch order, so issued ids, metrics, and
+  /// and application (id assignment, metrics, engine insert, table
+  /// slot) run serially in batch order, so issued ids, metrics, and
   /// the engine's containment forests are bit-identical to one-element
   /// batches in the same order — at any thread count. Per-element failures
   /// surface in the matching slot; they do not abort the batch.
@@ -199,16 +204,14 @@ class ScbrRouter {
     std::shared_ptr<const ClientCrypto> crypto;  // subscriber's delivery context
   };
   /// Slot `id` holds subscription `id`; null = never issued or removed.
-  /// A vector of shared_ptrs keeps the copy-on-write update a memcpy of
-  /// pointers (no per-node map copies) and the hot lookup O(1).
+  /// Ids are dense and ascending, so a subscribe appends a slot in place
+  /// and the hot lookup is O(1).
   using SubscriptionTable = std::vector<std::shared_ptr<const Subscription>>;
 
   sgx::Enclave& enclave_;
   std::unique_ptr<MatchEngine> engine_;
-  /// RCU snapshots: publish/deliver read-side is lock-free; only
-  /// provision/subscribe/unsubscribe/restore take the writer path.
-  lockfree::RcuCell<ClientTable> clients_;
-  lockfree::RcuCell<SubscriptionTable> subscriptions_;
+  ClientTable clients_;  // built by provision()
+  SubscriptionTable subscriptions_;
   /// Anti-replay: highest message counter seen per (client, domain).
   /// Client nonces are domain||counter; the router requires counters to
   /// be strictly increasing, so a captured wire message replayed later

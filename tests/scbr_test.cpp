@@ -5,6 +5,8 @@
 
 #include <array>
 #include <limits>
+#include <map>
+#include <tuple>
 
 #include "scbr/naive_engine.hpp"
 #include "scbr/poset_engine.hpp"
@@ -621,8 +623,8 @@ struct RouterFixture {
     keys.authorize_router(enclave->mrenclave());
   }
 
-  // The router owns RCU cells (epoch domains pin their address), so it is
-  // neither movable nor copyable; the fixture keeps each one alive.
+  // Tests hold routers by reference; the fixture keeps each one alive at
+  // a stable address.
   std::vector<std::unique_ptr<ScbrRouter>> routers;
 
   ScbrRouter& make_router() {
@@ -885,6 +887,215 @@ TEST(Router, SubscribeBatchMatchesSequentialAtAnyThreadCount) {
       EXPECT_EQ((*deliveries)[d].subscriber, (*want_deliveries)[d].subscriber);
     }
   }
+}
+
+// Deliveries of one publish_batch, flattened for comparison: for each
+// publication, ok-ness and then (subscription, subscriber, wire) per
+// delivery.
+using DeliveryLog = std::vector<std::tuple<SubscriptionId, std::string, Bytes>>;
+DeliveryLog log_of(const std::vector<Result<std::vector<Delivery>>>& results) {
+  DeliveryLog log;
+  for (const auto& r : results) {
+    EXPECT_TRUE(r.ok());
+    if (!r.ok()) continue;
+    log.emplace_back(0, "publication", Bytes{});
+    for (const auto& d : *r) log.emplace_back(d.subscription, d.subscriber, d.wire);
+  }
+  return log;
+}
+
+void expect_same_metrics(const RouterMetrics& got, const RouterMetrics& want) {
+  EXPECT_EQ(got.publications, want.publications);
+  EXPECT_EQ(got.subscriptions, want.subscriptions);
+  EXPECT_EQ(got.deliveries, want.deliveries);
+  EXPECT_EQ(got.auth_failures, want.auth_failures);
+  EXPECT_EQ(got.replays_blocked, want.replays_blocked);
+}
+
+TEST(Router, PerCallSubscribesMatchBatchInstallAtAnyThreadCount) {
+  // Router A grows its table one per-call subscribe at a time, with
+  // unsubscribes and pooled publishes read in between; router B installs
+  // the same subscriptions with one subscribe_batch. Eight groups of
+  // three nested ranges on x: group g's member m covers
+  // [100g, 100g + 50 - 10m]. After a group completes, its middle member
+  // is unsubscribed, so every probe of a completed group sees its final
+  // state and both routers must agree byte for byte.
+  RouterFixture fx;
+  auto alice = fx.keys.register_client("alice");
+  auto bob = fx.keys.register_client("bob");
+  auto carol = fx.keys.register_client("carol");
+
+  constexpr std::int64_t kGroups = 8;
+  std::vector<ScbrRouter::SubscribeRequest> subs;
+  for (std::int64_t i = 0; i < 3 * kGroups; ++i) {
+    const std::int64_t g = i / 3, m = i % 3;
+    const auto& owner = i % 2 ? bob : carol;
+    subs.push_back({owner.name,
+                    encrypt_subscription(owner, range_filter("x", 100 * g, 100 * g + 50 - 10 * m),
+                                         static_cast<std::uint64_t>(i / 2 + 1))});
+  }
+  subs[11].wire[subs[11].wire.size() / 2] ^= 1;  // group 3 loses its narrowest member
+
+  // Probe batches: after odd group g completes, one event hitting every
+  // live member and one hitting only the widest member, per completed group.
+  std::uint64_t pub_counter = 0;
+  std::map<std::int64_t, std::vector<ScbrRouter::PublishRequest>> probes;
+  for (std::int64_t g = 1; g < kGroups; g += 2) {
+    for (std::int64_t done = 0; done <= g; ++done) {
+      for (const std::int64_t offset : {5, 45}) {
+        Event e;
+        e.set("x", 100 * done + offset);
+        probes[g].push_back({"alice", encrypt_publication(alice, e, ++pub_counter)});
+      }
+    }
+  }
+  std::vector<ScbrRouter::PublishRequest> final_probe;
+  for (std::int64_t g = 0; g < kGroups; ++g) {
+    Event e;
+    e.set("x", 100 * g + 25);
+    final_probe.push_back({"alice", encrypt_publication(alice, e, ++pub_counter)});
+  }
+
+  common::ThreadPool pool(4);
+  for (common::ThreadPool* p : {static_cast<common::ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "inline" : "4 threads");
+    ScbrRouter& per_call = fx.make_router();
+    std::vector<Result<SubscriptionId>> per_call_ids;
+    std::vector<std::pair<std::string, SubscriptionId>> removed;
+    std::vector<DeliveryLog> per_call_logs;
+    for (std::size_t i = 0; i < subs.size(); ++i) {
+      per_call_ids.push_back(per_call.subscribe(subs[i].client, subs[i].wire));
+      if (i % 3 != 2) continue;
+      const auto& middle = per_call_ids[i - 1];
+      ASSERT_TRUE(middle.ok());
+      removed.emplace_back(subs[i - 1].client, *middle);
+      ASSERT_TRUE(per_call.unsubscribe(subs[i - 1].client, *middle).ok());
+      const std::int64_t g = static_cast<std::int64_t>(i / 3);
+      if (probes.count(g) != 0) {
+        per_call_logs.push_back(log_of(per_call.publish_batch(probes[g], p)));
+      }
+    }
+    per_call_logs.push_back(log_of(per_call.publish_batch(final_probe, p)));
+
+    ScbrRouter& batched = fx.make_router();
+    auto batch_ids = batched.subscribe_batch(subs, p);
+    for (const auto& [owner, id] : removed) {
+      ASSERT_TRUE(batched.unsubscribe(owner, id).ok());
+    }
+    std::vector<DeliveryLog> batch_logs;
+    for (auto& [g, probe] : probes) batch_logs.push_back(log_of(batched.publish_batch(probe, p)));
+    batch_logs.push_back(log_of(batched.publish_batch(final_probe, p)));
+
+    ASSERT_EQ(batch_ids.size(), per_call_ids.size());
+    for (std::size_t i = 0; i < subs.size(); ++i) {
+      ASSERT_EQ(batch_ids[i].ok(), per_call_ids[i].ok()) << "slot " << i;
+      if (per_call_ids[i].ok()) {
+        EXPECT_EQ(*batch_ids[i], *per_call_ids[i]) << "slot " << i;
+      }
+    }
+    EXPECT_FALSE(per_call_ids[11].ok());
+    EXPECT_EQ(batch_logs, per_call_logs);
+    expect_same_metrics(batched.metrics(), per_call.metrics());
+    EXPECT_GT(per_call.metrics().deliveries, 0u);
+    for (const auto& log : per_call_logs) {
+      for (const auto& [id, subscriber, wire] : log) {
+        for (const auto& gone : removed) EXPECT_NE(id, gone.second);
+      }
+    }
+
+    // Same sealed state, and a router restored from it routes alike.
+    const Bytes sealed = per_call.seal_state();
+    auto per_call_state = fx.enclave->unseal(sealed);
+    auto batch_state = fx.enclave->unseal(batched.seal_state());
+    ASSERT_TRUE(per_call_state.ok());
+    ASSERT_TRUE(batch_state.ok());
+    EXPECT_EQ(*batch_state, *per_call_state);
+
+    ScbrRouter& restored = fx.make_router();
+    ASSERT_TRUE(restored.restore_state(sealed).ok());
+    std::vector<ScbrRouter::PublishRequest> after;
+    for (std::int64_t g = 0; g < kGroups; ++g) {
+      Event e;
+      e.set("x", 100 * g + 15);
+      after.push_back({"alice", encrypt_publication(alice, e, pub_counter + 1 + g)});
+    }
+    EXPECT_EQ(log_of(restored.publish_batch(after, p)), log_of(per_call.publish_batch(after, p)));
+  }
+}
+
+// Seals a hand-built SCBRSTATE1 plaintext under the router enclave's
+// MRENCLAVE key, as seal_state would.
+struct CraftedEntry {
+  std::uint64_t id;
+  std::string owner;
+};
+Bytes seal_crafted_state(const sgx::Enclave& enclave, std::uint64_t next_id,
+                         const std::vector<CraftedEntry>& entries,
+                         std::uint32_t count_override = 0) {
+  Bytes plain;
+  put_str(plain, "SCBRSTATE1");
+  put_u64(plain, next_id);
+  put_u64(plain, 0);  // delivery counter
+  put_u32(plain, count_override != 0 ? count_override
+                                     : static_cast<std::uint32_t>(entries.size()));
+  for (const auto& e : entries) {
+    put_u64(plain, e.id);
+    put_str(plain, e.owner);
+    put_blob(plain, range_filter("x", 0, 100).serialize());
+  }
+  return enclave.seal(plain, sgx::SealPolicy::kMrEnclave);
+}
+
+TEST(Router, RestoreStateRejectsMalformedIdsAndKeepsTable) {
+  RouterFixture fx;
+  auto alice = fx.keys.register_client("alice");
+  auto bob = fx.keys.register_client("bob");
+  ScbrRouter& router = fx.make_router();
+  ASSERT_TRUE(router.subscribe("bob", encrypt_subscription(bob, range_filter("x", 0, 10), 1)).ok());
+  ASSERT_TRUE(router.subscribe("bob", encrypt_subscription(bob, range_filter("x", 5, 9), 2)).ok());
+  auto before = fx.enclave->unseal(router.seal_state());
+  ASSERT_TRUE(before.ok());
+
+  // A well-formed crafted blob restores: the helper itself is sound.
+  ScbrRouter& control = fx.make_router();
+  ASSERT_TRUE(control.restore_state(seal_crafted_state(*fx.enclave, 9, {{2, "bob"}, {8, "bob"}}))
+                  .ok());
+  EXPECT_EQ(control.engine().size(), 2u);
+
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::vector<std::pair<const char*, Bytes>> cases = {
+      {"id zero", seal_crafted_state(*fx.enclave, 9, {{0, "bob"}})},
+      {"id equal to next_id", seal_crafted_state(*fx.enclave, 9, {{9, "bob"}})},
+      {"id 2^40", seal_crafted_state(*fx.enclave, 9, {{std::uint64_t{1} << 40, "bob"}})},
+      {"id UINT64_MAX", seal_crafted_state(*fx.enclave, 9, {{kMax, "bob"}})},
+      {"id 2^40 under next_id 2^40", seal_crafted_state(*fx.enclave, std::uint64_t{1} << 40,
+                                                        {{std::uint64_t{1} << 40, "bob"}})},
+      {"descending ids", seal_crafted_state(*fx.enclave, 9, {{4, "bob"}, {3, "bob"}})},
+      {"repeated id", seal_crafted_state(*fx.enclave, 9, {{4, "bob"}, {4, "bob"}})},
+      {"next_id zero", seal_crafted_state(*fx.enclave, 0, {})},
+      {"next_id UINT64_MAX", seal_crafted_state(*fx.enclave, kMax, {})},
+      {"count beyond the blob", seal_crafted_state(*fx.enclave, 9, {{1, "bob"}}, 0xFFFFFFFFu)},
+  };
+  for (const auto& [name, blob] : cases) {
+    SCOPED_TRACE(name);
+    Status restored = router.restore_state(blob);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.error().code, ErrorCode::kProtocolError);
+    EXPECT_EQ(router.engine().size(), 2u);
+    auto after = fx.enclave->unseal(router.seal_state());
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(*after, *before);
+  }
+
+  // The kept table still routes and issues fresh ids.
+  Event e;
+  e.set("x", std::int64_t{7});
+  auto deliveries = router.publish("alice", encrypt_publication(alice, e, 1));
+  ASSERT_TRUE(deliveries.ok());
+  EXPECT_EQ(deliveries->size(), 2u);
+  auto next = router.subscribe("bob", encrypt_subscription(bob, range_filter("x", 0, 1), 3));
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(*next, 3u);
 }
 
 TEST(Router, WireCarriesNoPlaintext) {
