@@ -116,48 +116,66 @@ void BM_PosetMatchBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_PosetMatchBatch)->Arg(10000)->Arg(50000);
 
+// A provisioned router in its own enclave with one publisher and eight
+// subscribers, shared by the router benchmarks below.
+struct RouterBench {
+  sgx::Platform platform;
+  sgx::AttestationService attestation;
+  crypto::DeterministicEntropy entropy{77};
+  KeyService keys{attestation, entropy};
+  ClientCredentials publisher;
+  std::vector<ClientCredentials> subscribers;
+  std::unique_ptr<ScbrRouter> router;
+
+  // Returns false after SkipWithError when setup fails.
+  bool init(benchmark::State& state, std::unique_ptr<MatchEngine> engine) {
+    platform.provision(attestation);
+    sgx::EnclaveImage image;
+    image.name = "scbr-router-bench";
+    image.code = to_bytes("router-binary");
+    crypto::DeterministicEntropy signer(909);
+    sign_image(image, crypto::ed25519_keypair(signer.array<32>()));
+    auto enclave = platform.create_enclave(image);
+    if (!enclave.ok()) {
+      state.SkipWithError("enclave creation failed");
+      return false;
+    }
+    keys.authorize_router((*enclave)->mrenclave());
+    publisher = keys.register_client("publisher");
+    for (int s = 0; s < 8; ++s) {
+      subscribers.push_back(keys.register_client("sub" + std::to_string(s)));
+    }
+    router = std::make_unique<ScbrRouter>(**enclave, std::move(engine));
+    if (!router->provision(keys).ok()) {
+      state.SkipWithError("router provisioning failed");
+      return false;
+    }
+    return true;
+  }
+
+  // The next workload filter from subscriber (counter - 1) mod 8, under
+  // nonce `counter`; counters from 1 ascend per subscriber.
+  ScbrRouter::SubscribeRequest subscription(ScbrWorkload& workload, std::uint64_t counter) {
+    const auto& sub = subscribers[(counter - 1) % subscribers.size()];
+    return {sub.name, encrypt_subscription(sub, workload.next_filter(), counter)};
+  }
+};
+
 // Full router pass per publication: AEAD open, signature verify, match,
 // per-subscriber re-encryption — the paper's end-to-end SCBR data plane.
 // Deliveries dominate (every publication fans out to its matches), so
 // this is where per-delivery key-schedule and table-lookup costs show.
 void BM_RouterPublishBatch(benchmark::State& state) {
-  sgx::Platform platform;
-  sgx::AttestationService attestation;
-  platform.provision(attestation);
-  crypto::DeterministicEntropy entropy(77);
-  KeyService keys(attestation, entropy);
-
-  sgx::EnclaveImage image;
-  image.name = "scbr-router-bench";
-  image.code = to_bytes("router-binary");
-  crypto::DeterministicEntropy signer(909);
-  sign_image(image, crypto::ed25519_keypair(signer.array<32>()));
-  auto enclave = platform.create_enclave(image);
-  if (!enclave.ok()) {
-    state.SkipWithError("enclave creation failed");
-    return;
-  }
-  keys.authorize_router((*enclave)->mrenclave());
-
-  auto publisher = keys.register_client("publisher");
-  std::vector<ClientCredentials> subscribers;
-  for (int s = 0; s < 8; ++s) {
-    subscribers.push_back(keys.register_client("sub" + std::to_string(s)));
-  }
-
-  ScbrRouter router(**enclave, std::make_unique<PosetEngine>());
-  if (!router.provision(keys).ok()) {
-    state.SkipWithError("router provisioning failed");
-    return;
-  }
+  RouterBench bench;
+  if (!bench.init(state, std::make_unique<PosetEngine>())) return;
+  ScbrRouter& router = *bench.router;
+  const auto& publisher = bench.publisher;
 
   const auto subscriptions = static_cast<std::size_t>(state.range(0));
   ScbrWorkload workload(config_with(0.8), 11);
   for (std::size_t i = 0; i < subscriptions; ++i) {
-    const auto& sub = subscribers[i % subscribers.size()];
-    auto id = router.subscribe(
-        sub.name, encrypt_subscription(sub, workload.next_filter(), i + 1));
-    if (!id.ok()) {
+    const auto req = bench.subscription(workload, i + 1);
+    if (!router.subscribe(req.client, req.wire).ok()) {
       state.SkipWithError("subscribe failed");
       return;
     }
@@ -189,6 +207,58 @@ void BM_RouterPublishBatch(benchmark::State& state) {
       static_cast<double>(state.iterations() * 64);
 }
 BENCHMARK(BM_RouterPublishBatch)->Arg(2000)->Arg(10000);
+
+// One per-call subscribe (a one-element subscribe_batch: ECALL, AEAD
+// open, engine insert, table slot) against a table pre-installed with
+// one subscribe_batch. The naive engine's insert is an append, so the
+// call is the router's own work; the poset insert, whose cost depends on
+// the workload's containment, is BM_PosetSubscribe. The table grows in
+// place, so time per call should stay flat across table sizes. Each call
+// adds a subscription, so the table ends larger than the arg. Wires are
+// encrypted in chunks outside the timed region.
+void BM_RouterSubscribeCall(benchmark::State& state) {
+  RouterBench bench;
+  if (!bench.init(state, std::make_unique<NaiveEngine>())) return;
+  ScbrRouter& router = *bench.router;
+
+  const auto subscriptions = static_cast<std::uint64_t>(state.range(0));
+  ScbrWorkload workload(config_with(0.8), 13);
+  std::vector<ScbrRouter::SubscribeRequest> install;
+  install.reserve(subscriptions);
+  for (std::uint64_t counter = 1; counter <= subscriptions; ++counter) {
+    install.push_back(bench.subscription(workload, counter));
+  }
+  for (const auto& id : router.subscribe_batch(install)) {
+    if (!id.ok()) {
+      state.SkipWithError("install failed");
+      return;
+    }
+  }
+  install.clear();
+
+  std::uint64_t counter = subscriptions;
+  std::vector<ScbrRouter::SubscribeRequest> wires;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    if (next == wires.size()) {
+      state.PauseTiming();
+      wires.clear();
+      for (int i = 0; i < 256; ++i) wires.push_back(bench.subscription(workload, ++counter));
+      next = 0;
+      state.ResumeTiming();
+    }
+    const auto& req = wires[next++];
+    auto id = router.subscribe(req.client, req.wire);
+    if (!id.ok()) {
+      state.SkipWithError("subscribe failed");
+      break;
+    }
+    benchmark::DoNotOptimize(id);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["table"] = static_cast<double>(router.engine().size());
+}
+BENCHMARK(BM_RouterSubscribeCall)->Arg(10000)->Arg(100000);
 
 void BM_PosetSubscribe(benchmark::State& state) {
   ScbrWorkload workload(config_with(0.8), 13);

@@ -13,8 +13,11 @@
 # concurrent enqueue (FabricConcurrency.*), distributed MapReduce at 8
 # pool threads (one AesGcm per map task shared by the pool's record
 # opens), the SCBR pooled batch
-# paths (ScbrRouter::subscribe_batch in test_scbr, the fabric overlay's
-# chaos publish_batch in test_fabric_overlay), and the SecureStreams
+# paths (ScbrRouter::subscribe_batch and every Router.* test in
+# test_scbr: pool workers read the router's plain tables with no epoch
+# pin, which is sound only because the router takes one caller at a
+# time; the fabric overlay's chaos publish_batch in
+# test_fabric_overlay), and the SecureStreams
 # backpressure hammer (fast producer, slow sink, pool workers on the
 # pure stages, shared registry — StreamsHammer.* in test_streams), and
 # the telemetry plane's concurrent sampling surface (pool threads
@@ -46,7 +49,7 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 "${build_dir}/tests/test_net" \
   --gtest_filter='FabricConcurrency.*:Fabric.*:DistributedMapReduce.DeterministicUnderFaultsAtAnyThreadCount'
 "${build_dir}/tests/test_fabric_overlay" --gtest_filter='*Chaos*'
-"${build_dir}/tests/test_scbr" --gtest_filter='*Batch*'
+"${build_dir}/tests/test_scbr" --gtest_filter='*Batch*:Router.*'
 "${build_dir}/tests/test_streams" --gtest_filter='StreamsHammer.*:*Chaos*'
 "${build_dir}/tests/test_telemetry" --gtest_filter='TelemetryHammer.*:*Chaos*'
 "${build_dir}/tests/test_crypto" --gtest_filter='CurveOracle.FixedBaseTableFirstUseFromPoolThreads'
